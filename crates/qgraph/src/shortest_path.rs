@@ -13,6 +13,7 @@
 //! Floyd–Warshall matrix is "measured once ... and accessed from memory
 //! during QAIM") and reused by every compilation pass.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::Graph;
@@ -32,6 +33,22 @@ static APSP_INVOCATIONS: AtomicUsize = AtomicUsize::new(0);
 /// runs a region of code triggered.
 pub fn apsp_invocations() -> usize {
     APSP_INVOCATIONS.load(Ordering::Relaxed)
+}
+
+thread_local! {
+    static THREAD_APSP_INVOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// [`apsp_invocations`] counting only the runs made on the calling
+/// thread. A delta of it is exact even while other threads, such as
+/// concurrently running tests, compute their own matrices.
+pub fn apsp_invocations_on_this_thread() -> usize {
+    THREAD_APSP_INVOCATIONS.with(Cell::get)
+}
+
+fn count_apsp() {
+    APSP_INVOCATIONS.fetch_add(1, Ordering::Relaxed);
+    THREAD_APSP_INVOCATIONS.with(|c| c.set(c.get() + 1));
 }
 
 /// Dense all-pairs hop-distance matrix produced by [`floyd_warshall`].
@@ -137,7 +154,7 @@ impl WeightedDistanceMatrix {
 /// assert_eq!(d.get(2, 2), Some(0));
 /// ```
 pub fn floyd_warshall(g: &Graph) -> DistanceMatrix {
-    APSP_INVOCATIONS.fetch_add(1, Ordering::Relaxed);
+    count_apsp();
     let n = g.node_count();
     let mut dist = vec![usize::MAX; n * n];
     for u in 0..n {
@@ -182,7 +199,7 @@ pub fn floyd_warshall_weighted<F>(g: &Graph, mut weight: F) -> WeightedDistanceM
 where
     F: FnMut(usize, usize) -> f64,
 {
-    APSP_INVOCATIONS.fetch_add(1, Ordering::Relaxed);
+    count_apsp();
     let n = g.node_count();
     let mut dist = vec![f64::INFINITY; n * n];
     for u in 0..n {

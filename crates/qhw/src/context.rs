@@ -281,7 +281,7 @@ impl HardwareContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgraph::shortest_path::apsp_invocations;
+    use qgraph::shortest_path::apsp_invocations_on_this_thread;
 
     #[test]
     fn uncalibrated_context_caches_hops_and_profile() {
@@ -313,28 +313,26 @@ mod tests {
     #[test]
     fn construction_runs_apsp_a_bounded_number_of_times() {
         // Uncalibrated: exactly one Floyd–Warshall run; calibrated: two.
-        // (The counter is process-global, so this test measures deltas and
-        // relies on nothing else racing it — `cargo test` runs the other
-        // tests in this binary concurrently, hence the dedicated deltas
-        // around tight regions with freshly built inputs.)
+        // (`cargo test` runs the other tests in this binary concurrently,
+        // so the deltas read this thread's own count.)
         let topo = Topology::linear(5);
-        let before = apsp_invocations();
+        let before = apsp_invocations_on_this_thread();
         let ctx = HardwareContext::new(topo);
-        let mid = apsp_invocations();
+        let mid = apsp_invocations_on_this_thread();
         assert!(mid - before >= 1);
         // Consuming the cached artifacts must not trigger recomputation.
         let _ = ctx.distances().get(0, 4);
         let _ = ctx.profile().connectivity_strength(0);
         let _d2 = Arc::clone(ctx.distances());
-        assert_eq!(apsp_invocations(), mid);
+        assert_eq!(apsp_invocations_on_this_thread(), mid);
     }
 
     #[test]
     fn clone_shares_matrices() {
         let ctx = HardwareContext::new(Topology::grid(4, 4));
-        let before = apsp_invocations();
+        let before = apsp_invocations_on_this_thread();
         let clone = ctx.clone();
-        assert_eq!(apsp_invocations(), before);
+        assert_eq!(apsp_invocations_on_this_thread(), before);
         assert!(Arc::ptr_eq(ctx.distances(), clone.distances()));
     }
 

@@ -203,7 +203,7 @@ impl RoutingMetric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgraph::shortest_path::apsp_invocations;
+    use qgraph::shortest_path::apsp_invocations_on_this_thread;
 
     #[test]
     fn hops_metric_matches_figure_6c() {
@@ -255,10 +255,10 @@ mod tests {
     #[test]
     fn from_context_recomputes_nothing() {
         let ctx = HardwareContext::with_calibration(fig6_calibrated().0, fig6_calibrated().1);
-        let before = apsp_invocations();
+        let before = apsp_invocations_on_this_thread();
         let _hops = RoutingMetric::from_context(&ctx, false).unwrap();
         let _vic = RoutingMetric::from_context(&ctx, true).unwrap();
-        assert_eq!(apsp_invocations(), before);
+        assert_eq!(apsp_invocations_on_this_thread(), before);
     }
 
     #[test]

@@ -15,10 +15,15 @@
 //! | `Z S T RZ U1`             | per-amplitude phase multiply               |
 //! | `CZ CPHASE RZZ`           | per-amplitude phase multiply (2q key)      |
 //! | `X Y`                     | pair swap with phases                      |
-//! | `CNOT SWAP`               | index-pair swap, no arithmetic             |
+//! | `CNOT`, lone `SWAP`       | index-pair swap, no arithmetic             |
 //! | `H`                       | `s·(a0±a1)` butterfly                      |
 //! | `RX RY`                   | real 2×2 rotation (4 real mul/entry)       |
 //! | `U2 U3` (and unknowns)    | generic `Matrix2`/`Matrix4` product        |
+//!
+//! A whole circuit's `SWAP`s never reach this table:
+//! [`crate::StateVector::apply_circuit_with`] absorbs them as qubit
+//! relabels and remaps the other gates' operands. Only single-gate
+//! application and the streaming trajectory simulator dispatch them.
 //!
 //! # Threading
 //!
@@ -678,7 +683,8 @@ impl DiagAccumulator {
             let g = &parity_groups[0];
             // Below ~4 edges the plain popcount loop wins: the walk's
             // data-dependent trailing-zeros branch costs more than it
-            // saves (compiled circuits flush 1–2-edge runs constantly).
+            // saves (trajectory runs, which apply SWAPs as passes, flush
+            // 1–2-edge runs constantly).
             if g.pair_masks.len() < 4 {
                 par::chunked(amps, 1, threads, |offset, chunk| {
                     for (i, a) in chunk.iter_mut().enumerate() {

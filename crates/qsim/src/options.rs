@@ -30,8 +30,8 @@ pub struct SimOptions {
 }
 
 impl SimOptions {
-    /// Fully serial, fusion on — the configuration equivalence tests
-    /// compare everything against.
+    /// Fully serial, fusion on — the configuration the thread-count
+    /// equivalence tests compare against.
     pub fn serial() -> Self {
         SimOptions {
             threads: 1,

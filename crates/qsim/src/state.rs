@@ -1,7 +1,7 @@
 use crate::kernels::{FusedApplier, Op};
 use crate::{SimError, SimOptions};
 use qcircuit::math::{Complex, Matrix2, Matrix4, ONE, ZERO};
-use qcircuit::{Circuit, CircuitError, Instruction, ParamValues};
+use qcircuit::{Circuit, CircuitError, Gate, Instruction, ParamValues};
 
 /// Hard cap on the dense statevector width: `2^28` amplitudes is 4 GiB,
 /// the largest register the representation supports at all.
@@ -16,11 +16,13 @@ pub const MAX_QUBITS: usize = 28;
 /// comfortably.
 ///
 /// Gates are applied through specialized in-place kernels (see
-/// `kernels.rs`): diagonal gates are phase multiplications, `CNOT`/`SWAP`
-/// are index swaps, the QAOA mixers use structured real rotations, and
-/// consecutive diagonal gates fuse into a single amplitude pass. All of
-/// this is tunable through [`SimOptions`] via the `*_with` entry points;
-/// the plain entry points use [`SimOptions::default`].
+/// `kernels.rs`): diagonal gates are phase multiplications, `CNOT` is an
+/// index swap, the QAOA mixers use structured real rotations, and
+/// consecutive diagonal gates fuse into a single amplitude pass. A
+/// circuit's `SWAP`s move no amplitudes at all: they relabel which
+/// storage bit holds which qubit (see [`StateVector::apply_circuit_with`]).
+/// All of this is tunable through [`SimOptions`] via the `*_with` entry
+/// points; the plain entry points use [`SimOptions::default`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateVector {
     num_qubits: usize,
@@ -73,7 +75,7 @@ impl StateVector {
     /// [`StateVector::from_circuit`] with explicit engine options.
     pub fn from_circuit_with(circuit: &Circuit, opts: &SimOptions) -> Self {
         let mut sv = StateVector::new(circuit.num_qubits());
-        sv.apply_circuit_with(circuit, opts);
+        sv.run_from_zero(circuit, opts);
         sv
     }
 
@@ -97,7 +99,7 @@ impl StateVector {
             });
         }
         let mut sv = StateVector::try_new(circuit.num_qubits())?;
-        sv.apply_circuit_with(circuit, opts);
+        sv.run_from_zero(circuit, opts);
         Ok(sv)
     }
 
@@ -162,6 +164,14 @@ impl StateVector {
     /// `opts.fused_diagonals`) and every pass is chunked over
     /// `opts.effective_threads(n)` scoped workers.
     ///
+    /// `SWAP`s are absorbed as qubit relabels: a map from qubit to storage
+    /// bit is updated and no amplitude moves, and every other gate acts on
+    /// its operands' current storage bits. The diagonal gates of a routed
+    /// QAOA level therefore fuse into one pass however many `SWAP`s the
+    /// router interleaved. Physical order is restored at the end in place,
+    /// with one `SWAP` pass per transposition of the leftover permutation
+    /// — never more passes than `SWAP`s absorbed.
+    ///
     /// Results are bit-for-bit identical for every thread count, and agree
     /// with gate-by-gate application to ~1e-15 per amplitude when fusion
     /// reassociates phase products.
@@ -176,9 +186,57 @@ impl StateVector {
             circuit.num_qubits(),
             self.num_qubits
         );
+        self.run_relabeled(circuit, opts, (0..self.num_qubits).collect());
+    }
+
+    /// [`StateVector::apply_circuit_with`] for a state that is still
+    /// `|0...0⟩`, as the constructors make it. That state is invariant
+    /// under any qubit permutation, so each qubit can start on the storage
+    /// bit that the circuit's `SWAP`s will carry back to the qubit's own
+    /// index: the state ends in physical order with no restoring pass.
+    fn run_from_zero(&mut self, circuit: &Circuit, opts: &SimOptions) {
+        // Each SWAP τ maps slot ← slot ∘ τ, so the run takes `start` to
+        // start ∘ σ for the SWAPs' product σ. Replaying them backwards on
+        // the identity gives σ⁻¹, and the run then ends on the identity.
+        let mut start: Vec<usize> = (0..self.num_qubits).collect();
+        for instr in circuit.iter().rev() {
+            if matches!(instr.gate(), Gate::Swap) {
+                start.swap(instr.q0(), instr.q1());
+            }
+        }
+        self.run_relabeled(circuit, opts, start);
+    }
+
+    /// Applies the unitary gates of `circuit` with `SWAP`s absorbed,
+    /// starting from `slot` (`slot[q]` = storage bit holding qubit `q`),
+    /// then restores physical order in place.
+    fn run_relabeled(&mut self, circuit: &Circuit, opts: &SimOptions, mut slot: Vec<usize>) {
         let mut fused = FusedApplier::new(opts, self.num_qubits);
+        let mut swaps = 0;
         for instr in circuit.iter().filter(|i| i.gate().is_unitary()) {
-            fused.apply(&mut self.amps, instr);
+            if matches!(instr.gate(), Gate::Swap) {
+                slot.swap(instr.q0(), instr.q1());
+                swaps += 1;
+            } else {
+                fused.apply(&mut self.amps, &instr.remap(|q| slot[q]));
+            }
+        }
+        if qtrace::enabled() {
+            qtrace::global().add("qsim/relabeled_swaps", swaps);
+        }
+        for q in 0..self.num_qubits {
+            let s = slot[q];
+            if s != q {
+                // Storage bit `q` holds qubit `r`; exchanging bits `q` and
+                // `s` sends `q` home and `r` to `s`.
+                let r = slot
+                    .iter()
+                    .position(|&b| b == q)
+                    .expect("slot is a permutation");
+                fused.apply(&mut self.amps, &Instruction::two(Gate::Swap, q, s));
+                slot[r] = s;
+                slot[q] = q;
+            }
         }
         fused.flush(&mut self.amps);
     }
