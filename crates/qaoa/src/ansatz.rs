@@ -50,7 +50,7 @@ impl QaoaParams {
     /// Panics if `flat` is empty or has odd length.
     pub fn from_flat(flat: &[f64]) -> Self {
         assert!(
-            !flat.is_empty() && flat.len().is_multiple_of(2),
+            !flat.is_empty() && flat.len() % 2 == 0,
             "flat params must pair up"
         );
         QaoaParams::new(flat.chunks_exact(2).map(|c| (c[0], c[1])).collect())

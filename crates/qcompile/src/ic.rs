@@ -348,7 +348,7 @@ pub fn try_compile_incremental_with<R: Rng + ?Sized>(
                     let (wb, bb) = (s.op.b / 64, 1u64 << (s.op.b % 64));
                     let fits = (occupied[wa] & ba) == 0
                         && (occupied[wb] & bb) == 0
-                        && packing_limit.is_none_or(|lim| layer.len() < lim);
+                        && packing_limit.map_or(true, |lim| layer.len() < lim);
                     if fits {
                         occupied[wa] |= ba;
                         occupied[wb] |= bb;

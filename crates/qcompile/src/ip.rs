@@ -64,7 +64,7 @@ pub fn pack_layers<R: Rng + ?Sized>(
             let slot = (0..moq).find(|&l| {
                 (occupied[l * words + wa] & ba) == 0
                     && (occupied[l * words + wb] & bb) == 0
-                    && packing_limit.is_none_or(|lim| layers[base + l].len() < lim)
+                    && packing_limit.map_or(true, |lim| layers[base + l].len() < lim)
             });
             match slot {
                 Some(l) => {

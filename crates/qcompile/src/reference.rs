@@ -348,7 +348,7 @@ pub fn try_compile_incremental_with<R: Rng + ?Sized>(
             for op in remaining.drain(..) {
                 let fits = !occupied[op.a]
                     && !occupied[op.b]
-                    && packing_limit.is_none_or(|lim| layer.len() < lim);
+                    && packing_limit.map_or(true, |lim| layer.len() < lim);
                 if fits {
                     occupied[op.a] = true;
                     occupied[op.b] = true;
@@ -422,7 +422,7 @@ pub fn pack_layers<R: Rng + ?Sized>(
             let slot = (0..moq).find(|&l| {
                 !occupied[l][op.a]
                     && !occupied[l][op.b]
-                    && packing_limit.is_none_or(|lim| layers[base + l].len() < lim)
+                    && packing_limit.map_or(true, |lim| layers[base + l].len() < lim)
             });
             match slot {
                 Some(l) => {

@@ -108,7 +108,7 @@ pub fn random_regular<R: Rng + ?Sized>(
             "regular degree k={k} must be < n={n}"
         )));
     }
-    if !(n * k).is_multiple_of(2) {
+    if (n * k) % 2 != 0 {
         return Err(GraphError::InvalidParameters(format!(
             "n*k must be even, got n={n}, k={k}"
         )));
@@ -126,7 +126,7 @@ pub fn random_regular<R: Rng + ?Sized>(
         // high probability even for dense degrees (k up to ~n/2), unlike a
         // reject-whole-pairing scheme whose success rate decays like
         // exp(-k^2/4).
-        let mut stubs: Vec<usize> = (0..n).flat_map(|v| std::iter::repeat_n(v, k)).collect();
+        let mut stubs: Vec<usize> = (0..n).flat_map(|v| std::iter::repeat(v).take(k)).collect();
         stubs.shuffle(rng);
         let mut g = Graph::new(n);
         while !stubs.is_empty() {

@@ -5,14 +5,14 @@
 //! plus explicit [`crate::Service::advance`] steps), never wall time, so
 //! every open/close/refill transition is a pure function of the request
 //! stream — the property the chaos campaign's byte-identical manifests
-//! rest on. Both are consulted and updated only under the service's
-//! admission lock.
+//! rest on. Both are consulted and updated only by the admission core
+//! (`admission.rs`).
 //!
-//! The breaker watches *compile completions* (failures trip it, a
-//! success closes it); the bucket charges *admitted compiles* (cache
-//! hits are free — serving an `Arc` clone costs nothing worth
-//! protecting). An abusive tenant therefore trips open or runs dry
-//! without touching other tenants' state.
+//! The breaker watches *compile completions* (failures trip it; while
+//! half-open only the probe's completion decides it); the bucket
+//! charges *admitted compiles* (cache hits are free — serving an `Arc`
+//! clone costs nothing worth protecting). An abusive tenant therefore
+//! trips open or runs dry without touching other tenants' state.
 
 /// Token-bucket policy: `capacity` tokens, one token back per
 /// `refill_ticks` logical ticks.
@@ -184,8 +184,10 @@ impl CircuitBreaker {
     }
 
     /// Records one compile completion for this tenant at `now`,
-    /// reporting the state transition it caused (if any).
-    pub fn record(&mut self, now: u64, success: bool) -> BreakerTransition {
+    /// reporting the state transition it caused (if any). `probe` says
+    /// whether the completing compile was admitted as the half-open
+    /// probe: while half-open, exactly that one completion decides.
+    pub fn record(&mut self, now: u64, success: bool, probe: bool) -> BreakerTransition {
         if self.config.failure_threshold == 0 {
             return BreakerTransition::None;
         }
@@ -205,6 +207,9 @@ impl CircuitBreaker {
                     BreakerTransition::None
                 }
             }
+            // A straggler queued before the trip and finishing after the
+            // probe was admitted is not the probe: it decides nothing.
+            (BreakerState::HalfOpen, _) if !probe => BreakerTransition::None,
             (BreakerState::HalfOpen, true) => {
                 self.state = BreakerState::Closed { failures: 0 };
                 BreakerTransition::Closed
@@ -269,9 +274,9 @@ mod tests {
         });
         assert_eq!(breaker.admit(1), BreakerDecision::Admit);
         assert_eq!(breaker.state_code(), 0);
-        assert_eq!(breaker.record(1, false), BreakerTransition::None);
+        assert_eq!(breaker.record(1, false, false), BreakerTransition::None);
         assert_eq!(
-            breaker.record(2, false),
+            breaker.record(2, false, false),
             BreakerTransition::Tripped,
             "second failure trips it"
         );
@@ -283,10 +288,10 @@ mod tests {
         assert_eq!(breaker.state_code(), 1);
         assert_eq!(breaker.admit(12), BreakerDecision::Reject { retry_in: 0 });
         // Failed probe reopens; successful probe closes.
-        assert_eq!(breaker.record(12, false), BreakerTransition::Tripped);
+        assert_eq!(breaker.record(12, false, true), BreakerTransition::Tripped);
         assert!(breaker.is_open());
         assert_eq!(breaker.admit(22), BreakerDecision::Probe);
-        assert_eq!(breaker.record(22, true), BreakerTransition::Closed);
+        assert_eq!(breaker.record(22, true, true), BreakerTransition::Closed);
         assert!(!breaker.is_open());
         assert_eq!(breaker.state_code(), 0);
         assert_eq!(breaker.admit(23), BreakerDecision::Admit);
@@ -298,14 +303,14 @@ mod tests {
             failure_threshold: 1,
             cooldown_ticks: 10,
         });
-        assert_eq!(breaker.record(1, false), BreakerTransition::Tripped);
+        assert_eq!(breaker.record(1, false, false), BreakerTransition::Tripped);
         assert_eq!(breaker.admit(11), BreakerDecision::Probe);
         // The probe's request was rejected by a later gate: no compile
         // will ever record a verdict, so the slot must come back.
         breaker.abort_probe(11);
         assert_eq!(breaker.admit(11), BreakerDecision::Probe);
         // A dispatched probe's completion still decides normally.
-        assert_eq!(breaker.record(12, true), BreakerTransition::Closed);
+        assert_eq!(breaker.record(12, true, true), BreakerTransition::Closed);
         assert_eq!(breaker.admit(13), BreakerDecision::Admit);
         // Aborting when no probe is outstanding is a no-op.
         breaker.abort_probe(13);
@@ -320,7 +325,7 @@ mod tests {
         });
         for t in 0..20 {
             assert_eq!(
-                breaker.record(t, t % 2 == 0),
+                breaker.record(t, t % 2 == 0, false),
                 BreakerTransition::None,
                 "alternation never trips"
             );
@@ -335,9 +340,27 @@ mod tests {
             cooldown_ticks: 5,
         });
         for t in 0..100 {
-            assert_eq!(breaker.record(t, false), BreakerTransition::None);
+            assert_eq!(breaker.record(t, false, false), BreakerTransition::None);
             assert_eq!(breaker.admit(t), BreakerDecision::Admit);
         }
+    }
+
+    #[test]
+    fn half_open_ignores_stragglers_until_the_probe_reports() {
+        let mut breaker = CircuitBreaker::new(BreakerConfig {
+            failure_threshold: 2,
+            cooldown_ticks: 10,
+        });
+        assert_eq!(breaker.record(1, false, false), BreakerTransition::None);
+        assert_eq!(breaker.record(2, false, false), BreakerTransition::Tripped);
+        assert_eq!(breaker.admit(12), BreakerDecision::Probe);
+        // A pre-trip job finishing now is not the probe, either way.
+        assert_eq!(breaker.record(13, true, false), BreakerTransition::None);
+        assert_eq!(breaker.record(13, false, false), BreakerTransition::None);
+        assert_eq!(breaker.state_code(), 1, "still half-open");
+        // The probe's failure re-trips it.
+        assert_eq!(breaker.record(14, false, true), BreakerTransition::Tripped);
+        assert_eq!(breaker.admit(15), BreakerDecision::Reject { retry_in: 9 });
     }
 
     #[test]
@@ -346,10 +369,10 @@ mod tests {
             failure_threshold: 1,
             cooldown_ticks: 100,
         });
-        assert_eq!(breaker.record(1, false), BreakerTransition::Tripped);
+        assert_eq!(breaker.record(1, false, false), BreakerTransition::Tripped);
         assert!(breaker.is_open());
         assert_eq!(
-            breaker.record(2, true),
+            breaker.record(2, true, false),
             BreakerTransition::None,
             "straggler success is ignored"
         );

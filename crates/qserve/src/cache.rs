@@ -314,20 +314,16 @@ impl ArtifactCache {
         Some(state)
     }
 
-    /// Reserves a pending entry for `key` in bucket `fp`, evicting the
-    /// least-recently-used entries first if at capacity. Returns the
-    /// reservation id and the fingerprints of the evicted entries (the
-    /// service unlinks their disk spills).
+    /// Inserts `key` in bucket `fp` holding `state` — a pending
+    /// reservation at admission, or an artifact recovered at warm start —
+    /// evicting the least-recently-used entries first if at capacity.
+    /// Returns the new entry's id and the fingerprints of the evicted
+    /// entries (the service unlinks their disk spills).
     ///
     /// Pending entries are evictable like any other: their waiters hold
     /// the completion `Arc` directly, so eviction only forgets the cache
     /// slot, it never strands a requester.
-    pub fn reserve(
-        &mut self,
-        fp: u64,
-        key: CacheKey,
-        completion: Arc<Completion>,
-    ) -> (u64, Vec<u64>) {
+    pub fn insert(&mut self, fp: u64, key: CacheKey, state: SlotState) -> (u64, Vec<u64>) {
         let evicted = self.evict_to_capacity();
         self.tick += 1;
         let id = self.next_id;
@@ -335,35 +331,12 @@ impl ArtifactCache {
         self.buckets.entry(fp).or_default().push(Entry {
             id,
             key,
-            state: SlotState::Pending(completion),
+            state,
             last_used: self.tick,
         });
         self.recency.insert(self.tick, (fp, id));
         self.len += 1;
         (id, evicted)
-    }
-
-    /// Inserts an already-compiled artifact (warm-start recovery),
-    /// evicting as needed. Returns the evicted fingerprints.
-    pub fn insert_ready(
-        &mut self,
-        fp: u64,
-        key: CacheKey,
-        artifact: Arc<CompiledArtifact>,
-    ) -> Vec<u64> {
-        let evicted = self.evict_to_capacity();
-        self.tick += 1;
-        let id = self.next_id;
-        self.next_id += 1;
-        self.buckets.entry(fp).or_default().push(Entry {
-            id,
-            key,
-            state: SlotState::Ready(artifact),
-            last_used: self.tick,
-        });
-        self.recency.insert(self.tick, (fp, id));
-        self.len += 1;
-        evicted
     }
 
     fn evict_to_capacity(&mut self) -> Vec<u64> {
@@ -493,6 +466,10 @@ mod tests {
         )
     }
 
+    fn pending() -> SlotState {
+        SlotState::Pending(Arc::default())
+    }
+
     fn hit(lookup: Lookup) -> Option<SlotState> {
         match lookup {
             Lookup::Hit { state, .. } => Some(state),
@@ -515,8 +492,8 @@ mod tests {
         assert_ne!(ka, kb);
         let forced_fp = 42u64;
 
-        let (ida, _) = cache.reserve(forced_fp, ka.clone(), Arc::default());
-        let (idb, _) = cache.reserve(forced_fp, kb.clone(), Arc::default());
+        let (ida, _) = cache.insert(forced_fp, ka.clone(), pending());
+        let (idb, _) = cache.insert(forced_fp, kb.clone(), pending());
         let (a, b) = (dummy_artifact(0), dummy_artifact(1));
         cache.complete(forced_fp, ida, &Ok(Arc::clone(&a)), None, 0);
         cache.complete(forced_fp, idb, &Ok(Arc::clone(&b)), None, 0);
@@ -537,11 +514,11 @@ mod tests {
     fn lru_evicts_least_recently_used_first() {
         let mut cache = ArtifactCache::new(2);
         let (k1, k2, k3) = (key(&[(0, 1)]), key(&[(1, 2)]), key(&[(2, 3)]));
-        cache.reserve(k1.fingerprint(), k1.clone(), Arc::default());
-        cache.reserve(k2.fingerprint(), k2.clone(), Arc::default());
+        cache.insert(k1.fingerprint(), k1.clone(), pending());
+        cache.insert(k2.fingerprint(), k2.clone(), pending());
         // Touch k1 so k2 becomes the LRU victim.
         assert!(hit(cache.lookup(k1.fingerprint(), &k1, 0)).is_some());
-        let (_, evicted) = cache.reserve(k3.fingerprint(), k3.clone(), Arc::default());
+        let (_, evicted) = cache.insert(k3.fingerprint(), k3.clone(), pending());
         assert_eq!(evicted, vec![k2.fingerprint()], "evicted fps surfaced");
         assert_eq!(cache.len(), 2);
         assert!(is_miss(cache.lookup(k2.fingerprint(), &k2, 0)), "k2 gone");
@@ -553,8 +530,8 @@ mod tests {
     fn completing_an_evicted_reservation_is_a_no_op() {
         let mut cache = ArtifactCache::new(1);
         let (k1, k2) = (key(&[(0, 1)]), key(&[(1, 2)]));
-        let (id1, _) = cache.reserve(k1.fingerprint(), k1.clone(), Arc::default());
-        let (_, evicted) = cache.reserve(k2.fingerprint(), k2.clone(), Arc::default());
+        let (id1, _) = cache.insert(k1.fingerprint(), k1.clone(), pending());
+        let (_, evicted) = cache.insert(k2.fingerprint(), k2.clone(), pending());
         assert_eq!(evicted.len(), 1);
         // The worker of the evicted reservation reports in late.
         cache.complete(k1.fingerprint(), id1, &Ok(dummy_artifact(0)), None, 0);
@@ -569,8 +546,8 @@ mod tests {
         let ic = CacheKey::new(spec(4, &[(0, 1)]), CompileOptions::ic(), 11, 3);
         assert!(vic.calibration_epoch.is_some());
         assert!(ic.calibration_epoch.is_none());
-        cache.reserve(vic.fingerprint(), vic.clone(), Arc::default());
-        cache.reserve(ic.fingerprint(), ic.clone(), Arc::default());
+        cache.insert(vic.fingerprint(), vic.clone(), pending());
+        cache.insert(ic.fingerprint(), ic.clone(), pending());
         assert_eq!(
             cache.invalidate_calibration_dependent(),
             vec![vic.fingerprint()]
@@ -581,7 +558,7 @@ mod tests {
         // cleanly rather than panicking on stale locators.
         for i in 0..20 {
             let k = key(&[(0, 1), (1, 2), (2, 3), (i % 3, 3 - i % 3)]);
-            cache.reserve(k.fingerprint(), k, Arc::default());
+            cache.insert(k.fingerprint(), k, pending());
         }
         assert!(cache.len() <= 8);
     }
@@ -594,7 +571,7 @@ mod tests {
         let mut cache = ArtifactCache::new(8);
         let k = key(&[(0, 1)]);
         let fp = k.fingerprint();
-        let (id, _) = cache.reserve(fp, k.clone(), Arc::default());
+        let (id, _) = cache.insert(fp, k.clone(), pending());
         let error = ServeError::Overloaded {
             queued: 0,
             capacity: 0,
@@ -614,7 +591,7 @@ mod tests {
         assert!(is_miss(cache.lookup(fp, &k, 11)), "expiry reaped it");
 
         // `expires_at: None` (non-recoverable) never expires.
-        let (id, _) = cache.reserve(fp, k.clone(), Arc::default());
+        let (id, _) = cache.insert(fp, k.clone(), pending());
         let error = ServeError::Overloaded {
             queued: 1,
             capacity: 1,
@@ -632,7 +609,7 @@ mod tests {
         let mut cache = ArtifactCache::new(8);
         let k = key(&[(0, 1)]);
         let fp = k.fingerprint();
-        let (id, _) = cache.reserve(fp, k.clone(), Arc::default());
+        let (id, _) = cache.insert(fp, k.clone(), pending());
         let error = ServeError::Overloaded {
             queued: 0,
             capacity: 0,
@@ -654,7 +631,7 @@ mod tests {
 
         // A ready entry probes servable (and a missing key is None).
         let k2 = key(&[(1, 2)]);
-        let (id2, _) = cache.reserve(k2.fingerprint(), k2.clone(), Arc::default());
+        let (id2, _) = cache.insert(k2.fingerprint(), k2.clone(), pending());
         cache.complete(k2.fingerprint(), id2, &Ok(dummy_artifact(0)), None, 0);
         assert!(matches!(
             cache.probe_servable(k2.fingerprint(), &k2),
@@ -667,8 +644,8 @@ mod tests {
     fn forget_removes_the_reservation_and_its_recency() {
         let mut cache = ArtifactCache::new(2);
         let (k1, k2) = (key(&[(0, 1)]), key(&[(1, 2)]));
-        let (id1, _) = cache.reserve(k1.fingerprint(), k1.clone(), Arc::default());
-        cache.reserve(k2.fingerprint(), k2.clone(), Arc::default());
+        let (id1, _) = cache.insert(k1.fingerprint(), k1.clone(), pending());
+        cache.insert(k2.fingerprint(), k2.clone(), pending());
         cache.forget(k1.fingerprint(), id1);
         assert_eq!(cache.len(), 1);
         assert!(is_miss(cache.lookup(k1.fingerprint(), &k1, 0)));
@@ -676,7 +653,7 @@ mod tests {
         // the books straight instead of panicking on a stale locator.
         for i in 0..10 {
             let k = key(&[(0, 1), (i % 3, 3 - i % 3)]);
-            cache.reserve(k.fingerprint(), k, Arc::default());
+            cache.insert(k.fingerprint(), k, pending());
         }
         assert!(cache.len() <= 2);
         // Forgetting a second time (or an unknown id) is a no-op.
@@ -688,14 +665,15 @@ mod tests {
         let mut cache = ArtifactCache::new(1);
         let (k1, k2) = (key(&[(0, 1)]), key(&[(1, 2)]));
         let a = dummy_artifact(0);
-        assert!(cache
-            .insert_ready(k1.fingerprint(), k1.clone(), Arc::clone(&a))
-            .is_empty());
+        let ready = SlotState::Ready(Arc::clone(&a));
+        let (_, evicted) = cache.insert(k1.fingerprint(), k1.clone(), ready);
+        assert!(evicted.is_empty());
         match hit(cache.lookup(k1.fingerprint(), &k1, 0)) {
             Some(SlotState::Ready(got)) => assert!(Arc::ptr_eq(&got, &a)),
             other => panic!("expected recovered artifact, got {other:?}"),
         }
-        let evicted = cache.insert_ready(k2.fingerprint(), k2.clone(), dummy_artifact(1));
+        let ready = SlotState::Ready(dummy_artifact(1));
+        let (_, evicted) = cache.insert(k2.fingerprint(), k2.clone(), ready);
         assert_eq!(evicted, vec![k1.fingerprint()]);
         assert_eq!(cache.len(), 1);
     }

@@ -88,13 +88,6 @@ impl QuarantineReason {
     }
 }
 
-/// Per-spec strike counts feeding the quarantine ledger.
-#[derive(Debug, Clone, Copy, Default)]
-struct Strikes {
-    panics: u32,
-    timeouts: u32,
-}
-
 /// The poison-pill ledger: spec fingerprints whose compiles panic or
 /// time out repeatedly are quarantined so coalesced and future callers
 /// fail fast instead of re-detonating a worker. Keyed by
@@ -104,7 +97,8 @@ struct Strikes {
 #[derive(Debug, Default)]
 pub(crate) struct PoisonLedger {
     threshold: u32,
-    strikes: std::collections::HashMap<u64, Strikes>,
+    /// Combined panic + timeout strikes per spec.
+    strikes: std::collections::HashMap<u64, u32>,
     quarantined: std::collections::HashMap<u64, QuarantineReason>,
 }
 
@@ -127,42 +121,26 @@ impl PoisonLedger {
         self.quarantined.len()
     }
 
-    /// Records one panic strike; returns the reason iff this strike
+    /// Records one strike — a worker panic, else a timeout (an
+    /// in-flight cancellation) — and returns the reason iff this strike
     /// quarantined the spec.
-    pub fn strike_panic(&mut self, spec_fp: u64) -> Option<QuarantineReason> {
+    pub fn strike(&mut self, spec_fp: u64, panicked: bool) -> Option<QuarantineReason> {
         if self.threshold == 0 || self.quarantined.contains_key(&spec_fp) {
             return None;
         }
-        let s = self.strikes.entry(spec_fp).or_default();
-        s.panics += 1;
-        if s.panics + s.timeouts >= self.threshold {
-            let reason = QuarantineReason::Panicked {
-                strikes: s.panics + s.timeouts,
-            };
-            self.quarantined.insert(spec_fp, reason);
-            Some(reason)
-        } else {
-            None
-        }
-    }
-
-    /// Records one timeout (in-flight cancellation) strike; returns the
-    /// reason iff this strike quarantined the spec.
-    pub fn strike_timeout(&mut self, spec_fp: u64) -> Option<QuarantineReason> {
-        if self.threshold == 0 || self.quarantined.contains_key(&spec_fp) {
+        let count = self.strikes.entry(spec_fp).or_default();
+        *count += 1;
+        if *count < self.threshold {
             return None;
         }
-        let s = self.strikes.entry(spec_fp).or_default();
-        s.timeouts += 1;
-        if s.panics + s.timeouts >= self.threshold {
-            let reason = QuarantineReason::TimedOut {
-                strikes: s.panics + s.timeouts,
-            };
-            self.quarantined.insert(spec_fp, reason);
-            Some(reason)
+        let strikes = *count;
+        let reason = if panicked {
+            QuarantineReason::Panicked { strikes }
         } else {
-            None
-        }
+            QuarantineReason::TimedOut { strikes }
+        };
+        self.quarantined.insert(spec_fp, reason);
+        Some(reason)
     }
 
     /// Clears the strikes and quarantine of `spec_fp` (the operator
@@ -247,31 +225,31 @@ mod tests {
     #[test]
     fn ledger_quarantines_at_threshold_and_releases() {
         let mut ledger = PoisonLedger::new(3);
-        assert_eq!(ledger.strike_panic(7), None);
-        assert_eq!(ledger.strike_timeout(7), None);
-        let verdict = ledger.strike_panic(7);
+        assert_eq!(ledger.strike(7, true), None);
+        assert_eq!(ledger.strike(7, false), None);
+        let verdict = ledger.strike(7, true);
         // Quarantine trips on the combined count, so the reason reports
         // it too: 2 panics + 1 timeout, categorized by the final strike.
         assert_eq!(verdict, Some(QuarantineReason::Panicked { strikes: 3 }));
         assert_eq!(ledger.quarantined(7), verdict);
         assert_eq!(ledger.len(), 1);
         // Further strikes on a quarantined spec are no-ops.
-        assert_eq!(ledger.strike_panic(7), None);
+        assert_eq!(ledger.strike(7, true), None);
         // Other specs are independent.
         assert_eq!(ledger.quarantined(8), None);
         assert!(ledger.release(7));
         assert_eq!(ledger.quarantined(7), None);
         assert!(!ledger.release(7), "already released");
         // Strikes were cleared too: the count restarts.
-        assert_eq!(ledger.strike_panic(7), None);
-        assert_eq!(ledger.strike_panic(7), None);
+        assert_eq!(ledger.strike(7, true), None);
+        assert_eq!(ledger.strike(7, true), None);
     }
 
     #[test]
     fn zero_threshold_never_quarantines() {
         let mut ledger = PoisonLedger::new(0);
         for _ in 0..100 {
-            assert_eq!(ledger.strike_panic(1), None);
+            assert_eq!(ledger.strike(1, true), None);
         }
         assert_eq!(ledger.quarantined(1), None);
     }

@@ -51,6 +51,7 @@
 //! ));
 //! ```
 
+mod admission;
 mod breaker;
 mod cache;
 mod deadline;

@@ -1,9 +1,10 @@
 //! The ops plane: per-request lifecycle tracing, tenant-scoped metrics
 //! and the deterministic ops event journal.
 //!
-//! All three layers are recorded under the service's single admission
-//! lock and stamped with the **logical clock**, never wall time, so the
-//! exported artifacts are byte-identical across worker counts:
+//! All three layers are recorded by the admission core
+//! (`admission.rs`, under the service's single lock) and stamped
+//! with the **logical clock**, never wall time, so the exported
+//! artifacts are byte-identical across worker counts:
 //!
 //! * **Lifecycle log** — every admission opens a [`RequestTrace`] keyed
 //!   by a stable, dense request id (the admission ordinal). Transitions
@@ -431,13 +432,12 @@ impl TenantMetrics {
     }
 }
 
-/// A pending-hit request whose terminal settlement is deferred to the
-/// producing compile's fill. The lifecycle stamp stays the waiter's
-/// *admit* tick and the settlement stage is the compile's deterministic
-/// outcome, so whether the slot happened to be filled before or after
-/// the waiter arrived — a pure wall-clock race — never changes a byte
-/// of the exported artifacts.
-#[derive(Debug)]
+/// One request as the ops plane settles it — a job's owner, or a
+/// pending hit parked on its reservation until the fill. A parked
+/// waiter keeps its *admit* tick as the stamp and takes the compile's
+/// deterministic outcome, so whether the slot was filled before or after
+/// it arrived — a wall-clock race — never changes an exported byte.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Waiter {
     pub req_id: u64,
     pub tenant: usize,
@@ -445,8 +445,16 @@ pub(crate) struct Waiter {
     pub admit_at: Instant,
 }
 
-/// The whole ops plane, owned by the service's `Inner` and mutated only
-/// under the admission lock.
+impl Waiter {
+    /// A journal event this request caused, at `tick`.
+    pub fn event(&self, tick: u64, code: &'static str) -> JournalEvent {
+        let event = JournalEvent::new(tick, code).tenant(self.tenant as u32);
+        event.request(self.req_id)
+    }
+}
+
+/// The whole ops plane, owned by the admission core. The shell adds
+/// only the wall-time observations (`observe_*`).
 #[derive(Debug)]
 pub(crate) struct OpsState {
     pub lifecycle: LifecycleLog,
@@ -501,28 +509,24 @@ impl OpsState {
         }
     }
 
-    /// Records a request's terminal transition: lifecycle, terminal
-    /// counter, error-code breakdown, deterministic tick latency, and
-    /// the wall-time end-to-end histogram + span.
-    pub fn finish(
-        &mut self,
-        id: u64,
-        tenant: usize,
-        stage: Stage,
-        admit_tick: u64,
-        stamp_tick: u64,
-        error: Option<&'static str>,
-        e2e: Duration,
-    ) {
-        self.lifecycle.push(id, stage, stamp_tick);
-        let m = &mut self.tenants[tenant];
+    /// Records a request's terminal transition, stamped at `stamp`:
+    /// lifecycle, terminal counter, error-code breakdown and the
+    /// deterministic tick latency. The wall-time half is
+    /// [`OpsState::observe_e2e`].
+    pub fn settle(&mut self, who: &Waiter, stage: Stage, stamp: u64, error: Option<&'static str>) {
+        self.lifecycle.push(who.req_id, stage, stamp);
+        let m = &mut self.tenants[who.tenant];
         m.note_terminal(stage);
         if let Some(code) = error {
             *m.errors.entry(code).or_insert(0) += 1;
         }
-        m.e2e_ticks.record(stamp_tick.saturating_sub(admit_tick));
-        m.e2e_ns
-            .record(u64::try_from(e2e.as_nanos()).unwrap_or(u64::MAX));
+        m.e2e_ticks.record(stamp.saturating_sub(who.admit_tick));
+    }
+
+    /// Records a settled request's admission-to-terminal wall time: the
+    /// `e2e_ns` histogram and the per-tenant span.
+    pub fn observe_e2e(&mut self, tenant: usize, e2e: Duration) {
+        self.tenants[tenant].e2e_ns.record(nanos(e2e));
         let q = qtrace::global();
         if q.is_enabled() {
             q.record_span(&format!("qserve/tenant/{tenant}/e2e"), e2e);
@@ -532,10 +536,8 @@ impl OpsState {
     /// Records the wall-time split of one executed compile.
     pub fn observe_execution(&mut self, tenant: usize, queue_wait: Duration, compile: Duration) {
         let m = &mut self.tenants[tenant];
-        m.queue_wait_ns
-            .record(u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX));
-        m.compile_ns
-            .record(u64::try_from(compile.as_nanos()).unwrap_or(u64::MAX));
+        m.queue_wait_ns.record(nanos(queue_wait));
+        m.compile_ns.record(nanos(compile));
         let q = qtrace::global();
         if q.is_enabled() {
             q.record_span(&format!("qserve/tenant/{tenant}/queue_wait"), queue_wait);
@@ -574,11 +576,8 @@ impl OpsState {
             for (code, count) in &m.errors {
                 q.add(&format!("qserve/tenant/{t}/error/{code}"), *count);
             }
-            if m.requests > 0 {
-                q.gauge_max(
-                    &format!("qserve/tenant/{t}/hit_permille"),
-                    m.hits * 1000 / m.requests,
-                );
+            if let Some(permille) = (m.hits * 1000).checked_div(m.requests) {
+                q.gauge_max(&format!("qserve/tenant/{t}/hit_permille"), permille);
             }
             let hists: [(&str, &Histogram); 4] = [
                 ("e2e_ticks", &m.e2e_ticks),
@@ -597,6 +596,10 @@ impl OpsState {
             q.add("qserve/spec/overflow", self.spec_overflow);
         }
     }
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Renders journal events as JSON lines (one per event, trailing
@@ -772,26 +775,18 @@ mod tests {
     #[test]
     fn metrics_flush_emits_only_nonzero_series() {
         let mut ops = OpsState::new(&config(), 2);
+        let waiter = |req_id, admit_tick| Waiter {
+            req_id,
+            tenant: 0,
+            admit_tick,
+            admit_at: Instant::now(),
+        };
         ops.on_admit(1, 0, 0xA, 0xA1, 1);
-        ops.finish(
-            1,
-            0,
-            Stage::Completed,
-            1,
-            1,
-            None,
-            Duration::from_nanos(500),
-        );
+        ops.settle(&waiter(1, 1), Stage::Completed, 1, None);
+        ops.observe_e2e(0, Duration::from_nanos(500));
         ops.on_admit(2, 0, 0xB, 0xB1, 2);
-        ops.finish(
-            2,
-            0,
-            Stage::Throttled,
-            2,
-            2,
-            Some("throttled"),
-            Duration::from_nanos(100),
-        );
+        ops.settle(&waiter(2, 2), Stage::Throttled, 2, Some("throttled"));
+        ops.observe_e2e(0, Duration::from_nanos(100));
         let rec = qtrace::Recorder::new();
         rec.enable();
         ops.flush_metrics(&rec);

@@ -1,13 +1,16 @@
 //! The compile service: admission, per-tenant fair queuing, worker
 //! pool, overload shedding, fault tolerance and calibration hot-reload.
 //!
-//! ## Admission-time determinism
+//! ## Core and shell
 //!
-//! `submit` classifies every request — hit, miss, shed, reject, or a
-//! fail-fast (quarantine / breaker / throttle) — under one lock, in
-//! arrival order, before any worker touches it. Workers never make
-//! cache decisions; they compile the job admission reserved and fill
-//! its completion slot. The outcome sequence (and every `qserve/*`
+//! Every serving decision — a hit, a miss, a refusal at one of the
+//! admission gates, the deadline sweep and compile completion — is made
+//! by the pure admission core (`admission.rs`, which owns the gate
+//! order), under one lock, in arrival order, before any worker touches
+//! the request. [`Service`] is the shell: it locks, calls
+//! the core, applies what comes back (ticket, worker wake-up, spill
+//! files, completion slots, wall-time histograms) and runs the compiles
+//! the core reserved. The outcome sequence (and every `qserve/*`
 //! counter) is therefore a pure function of the request stream,
 //! whatever the worker count — the property the CI manifest gate and
 //! the cross-worker determinism proptest pin.
@@ -55,9 +58,12 @@
 //! - **Per-tenant circuit breaker + token bucket** — consecutive
 //!   compile failures trip a tenant's breaker open
 //!   ([`ServeError::CircuitOpen`] until the cooldown admits a single
-//!   probe); an optional bucket bounds a tenant's compile admission
-//!   rate ([`ServeError::Throttled`]). Cache hits bypass both: serving
-//!   an `Arc` clone needs no protection.
+//!   probe). While half-open only that probe's completion decides
+//!   whether the breaker closes or re-trips; a straggler queued before
+//!   the trip and finishing late decides nothing. An optional bucket
+//!   bounds a tenant's compile admission rate
+//!   ([`ServeError::Throttled`]). Cache hits bypass both: serving an
+//!   `Arc` clone needs no protection.
 //! - **Crash-safe warm start** — with [`ServiceConfig::spill_dir`] set,
 //!   every compiled artifact is spilled to disk content-addressed by
 //!   its cache fingerprint; a restarted service recovers every
@@ -67,25 +73,24 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qcompile::{
-    try_compile_artifact_with_context_cancellable, CancelToken, CompileError, CompileOptions,
-    CompiledArtifact, QaoaSpec,
+    try_compile_artifact_with_context_cancellable, CompileError, CompileOptions, CompiledArtifact,
+    QaoaSpec,
 };
 use qhw::fault::{ServiceFault, ServiceFaultPlane};
 use qhw::{Calibration, HardwareContext, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::breaker::{
-    BreakerConfig, BreakerDecision, BreakerTransition, BucketConfig, CircuitBreaker, TokenBucket,
-};
-use crate::cache::{spec_fingerprint, ArtifactCache, CacheKey, Completion, Lookup, SlotState};
-use crate::deadline::{BackoffConfig, InflightDeadlines, PoisonLedger, QuarantineReason};
-use crate::ops::{JournalEvent, OpsConfig, OpsState, RequestTrace, Stage, Waiter};
+use crate::admission::{AdmissionState, Effects, Fill, Job};
+use crate::breaker::{BreakerConfig, BucketConfig};
+use crate::cache::{Completion, SlotState};
+use crate::deadline::{BackoffConfig, QuarantineReason};
+use crate::ops::{JournalEvent, OpsConfig, OpsState, RequestTrace};
 use crate::spill::SpillStore;
 
 /// Why the service could not produce an artifact.
@@ -437,54 +442,9 @@ pub struct ServiceStats {
     pub now_tick: u64,
 }
 
-struct Job {
-    fp: u64,
-    id: u64,
-    key: CacheKey,
-    spec_fp: u64,
-    tenant: u32,
-    seed: u64,
-    /// Absolute logical-tick deadline, if any.
-    deadline: Option<u64>,
-    admit_tick: u64,
-    /// Stable request id (admission ordinal) — the lifecycle-log key.
-    req_id: u64,
-    /// Admission wall instant, for the ops-plane latency histograms.
-    admit_at: Instant,
-    /// Compile admission ordinal — the fault plane's key.
-    fault_seq: u64,
-    /// Consecutive prior failures of this key (from an expired negative
-    /// entry); the next failure's backoff builds on it.
-    strikes: u32,
-    /// This job is its tenant's half-open breaker probe. If it is
-    /// reaped from the queue before dispatch, the probe slot must be
-    /// returned ([`CircuitBreaker::abort_probe`]); a dispatched probe's
-    /// completion decides the breaker instead.
-    probe: bool,
-    token: CancelToken,
-    context: Arc<HardwareContext>,
-    completion: Arc<Completion>,
-}
-
 struct Inner {
-    cache: ArtifactCache,
-    queues: Vec<std::collections::VecDeque<Job>>,
-    queued: usize,
-    rr_cursor: usize,
-    context: Arc<HardwareContext>,
-    epoch: u64,
-    topology_fp: u64,
-    stats: ServiceStats,
+    core: AdmissionState,
     shutdown: bool,
-    /// The logical clock: +1 per admission plus explicit advances.
-    now: u64,
-    backoff: BackoffConfig,
-    inflight: InflightDeadlines,
-    poison: PoisonLedger,
-    breakers: Vec<CircuitBreaker>,
-    buckets: Option<Vec<TokenBucket>>,
-    next_fault_seq: u64,
-    ops: OpsState,
 }
 
 struct Shared {
@@ -495,11 +455,50 @@ struct Shared {
     fault_plane: Option<Arc<ServiceFaultPlane>>,
 }
 
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("service lock")
+    }
+
+    /// The next position in the completion order (1-based).
+    fn next_served(&self) -> u64 {
+        self.served.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// Applies, under the lock, what a core call left to the shell:
+    /// unlinks spill files and observes the wall-time latency of every
+    /// request a resolved reservation settled. Returns the fills for
+    /// [`Shared::publish`] once the lock is released.
+    fn apply(&self, ops: &mut OpsState, effects: Effects) -> Vec<Fill> {
+        if let Some(store) = &self.spill {
+            for &fp in &effects.unlink {
+                store.unlink(fp);
+            }
+        }
+        for fill in &effects.fills {
+            for who in std::iter::once(&fill.owner).chain(&fill.parked) {
+                ops.observe_e2e(who.tenant, who.admit_at.elapsed());
+            }
+        }
+        effects.fills
+    }
+
+    /// Fills each resolved reservation's completion slot, waking its
+    /// waiters — outside the service lock, so the wake-up never
+    /// lengthens it.
+    fn publish(&self, fills: Vec<Fill>) {
+        for fill in fills {
+            let resolution = (fill.result, self.next_served(), Instant::now());
+            *fill.completion.slot.lock().expect("completion lock") = Some(resolution);
+            fill.completion.ready.notify_all();
+        }
+    }
+}
+
 /// The in-process compile service. See the crate docs for the example
 /// and the module docs for the serving policy.
 pub struct Service {
     shared: Arc<Shared>,
-    config: ServiceConfig,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -519,88 +518,32 @@ impl Service {
         let topology_fp = topology.fingerprint();
         let calibration_fp = calibration.as_ref().map(Calibration::fingerprint);
         let context = Arc::new(HardwareContext::from_parts(topology, calibration));
-        let tenants = config.tenants.max(1);
-        let q = qtrace::global();
-
+        let mut core = AdmissionState::new(&config, context);
         // Warm-start recovery before the service goes live.
-        let mut cache = ArtifactCache::new(config.cache_capacity);
-        let mut stats = ServiceStats::default();
-        let mut ops = OpsState::new(&config.ops, tenants);
-        let mut epoch = 0;
         let spill = config.spill_dir.clone().and_then(|dir| {
             let store = SpillStore::new(dir).ok()?;
             // VIC spills are only trusted when the sidecar proves the
             // calibration is the one they were compiled against.
-            let vic_epoch = match store.read_meta() {
-                Some((saved, saved_cal)) if saved_cal == calibration_fp => {
-                    epoch = saved;
-                    Some(saved)
-                }
-                Some((saved, _)) => {
-                    epoch = saved + 1;
-                    None
-                }
-                None => None,
+            let (epoch, vic_epoch) = match store.read_meta() {
+                Some((saved, saved_cal)) if saved_cal == calibration_fp => (saved, Some(saved)),
+                Some((saved, _)) => (saved + 1, None),
+                None => (0, None),
             };
-            let report = store.recover(topology_fp, vic_epoch);
-            for (fp, key, artifact) in report.entries {
-                for victim in cache.insert_ready(fp, key, artifact) {
-                    store.unlink(victim);
-                    stats.evictions += 1;
-                }
-                stats.spill_recovered += 1;
+            for victim in core.recover(epoch, store.recover(topology_fp, vic_epoch)) {
+                store.unlink(victim);
             }
-            stats.spill_corrupt = report.corrupt;
-            stats.spill_stale = report.stale;
-            if stats.spill_recovered > 0 {
-                q.add("qserve/spill/recovered", stats.spill_recovered);
-            }
-            if report.corrupt > 0 {
-                q.add("qserve/spill/corrupt", report.corrupt);
-            }
-            if report.stale > 0 {
-                q.add("qserve/spill/stale", report.stale);
-            }
-            ops.journal.push(
-                JournalEvent::new(0, "spill_recovery")
-                    .field("recovered", stats.spill_recovered)
-                    .field("corrupt", report.corrupt)
-                    .field("stale", report.stale)
-                    .field("epoch", epoch),
-            );
             let _ = store.write_meta(epoch, calibration_fp);
             Some(store)
         });
-
-        let inner = Inner {
-            cache,
-            queues: (0..tenants).map(|_| Default::default()).collect(),
-            queued: 0,
-            rr_cursor: 0,
-            context,
-            epoch,
-            topology_fp,
-            stats,
-            shutdown: false,
-            now: 0,
-            backoff: config.backoff,
-            inflight: InflightDeadlines::default(),
-            poison: PoisonLedger::new(config.quarantine_threshold),
-            breakers: (0..tenants)
-                .map(|_| CircuitBreaker::new(config.breaker))
-                .collect(),
-            buckets: config
-                .bucket
-                .map(|b| (0..tenants).map(|_| TokenBucket::new(b)).collect()),
-            next_fault_seq: 0,
-            ops,
-        };
         let shared = Arc::new(Shared {
-            inner: Mutex::new(inner),
+            inner: Mutex::new(Inner {
+                core,
+                shutdown: false,
+            }),
             work: Condvar::new(),
             served: AtomicU64::new(0),
             spill,
-            fault_plane: config.fault_plane.clone(),
+            fault_plane: config.fault_plane,
         });
         let workers = (0..config.workers)
             .map(|i| {
@@ -611,18 +554,14 @@ impl Service {
                     .expect("spawn qserve worker")
             })
             .collect();
-        Service {
-            shared,
-            config,
-            workers,
-        }
+        Service { shared, workers }
     }
 
     /// Submits a request, classifying it immediately; the returned
     /// ticket is resolved for hits/sheds/rejects/fail-fasts and pending
     /// for misses.
     pub fn submit(&self, request: Request) -> Ticket<'_> {
-        self.admit(request, AdmitMode::Queue)
+        self.admit(request, false)
     }
 
     /// `submit` + `wait`.
@@ -635,7 +574,7 @@ impl Service {
     /// admission gates (so it can never shed, reject, or be throttled).
     /// Deterministic cache warming uses this.
     pub fn warm(&self, request: Request) -> Response {
-        self.admit(request, AdmitMode::Inline).wait()
+        self.admit(request, true).wait()
     }
 
     /// Advances the logical clock by `ticks` and sweeps the deadline
@@ -645,341 +584,50 @@ impl Service {
     /// the clock by one implicitly; tests and long-poll loops advance
     /// it explicitly.
     pub fn advance(&self, ticks: u64) {
-        let mut inner = self.shared.inner.lock().expect("service lock");
-        inner.now += ticks;
-        sweep_deadlines(&mut inner, &self.shared.served);
+        let mut inner = self.shared.lock();
+        let effects = inner.core.advance(ticks);
+        let fills = self.shared.apply(&mut inner.core.ops, effects);
+        drop(inner);
+        self.shared.publish(fills);
     }
 
-    fn admit(&self, request: Request, mode: AdmitMode) -> Ticket<'_> {
+    fn admit(&self, request: Request, inline: bool) -> Ticket<'_> {
         let submitted = Instant::now();
-        let q = qtrace::global();
-        let mut inner = self.shared.inner.lock().expect("service lock");
-        inner.now += 1;
-        sweep_deadlines(&mut inner, &self.shared.served);
-        let now = inner.now;
-        inner.stats.requests += 1;
-        // Stable request id: the admission ordinal, assigned under the
-        // submit lock — the key every lifecycle transition and journal
-        // line refers back to.
-        let req_id = inner.stats.requests;
-        q.add("qserve/requests", 1);
-
-        let key = CacheKey::new(
-            request.spec,
-            request.options,
-            inner.topology_fp,
-            inner.epoch,
-        );
-        let fp = key.fingerprint();
-        let spec_fp = spec_fingerprint(&key.spec);
-        let tenant_idx = request.tenant as usize % inner.queues.len();
-        inner.ops.on_admit(req_id, tenant_idx, spec_fp, fp, now);
-        let mut strikes = 0;
-        match inner.cache.lookup(fp, &key, now) {
-            Lookup::Hit { state, entry_id } => {
-                inner.stats.hits += 1;
-                inner.note(fp, 2);
-                q.add("qserve/cache/hits", 1);
-                inner.ops.tenants[tenant_idx].hits += 1;
-                match &state {
-                    SlotState::Ready(_) => {
-                        inner.ops.finish(
-                            req_id,
-                            tenant_idx,
-                            Stage::Completed,
-                            now,
-                            now,
-                            None,
-                            submitted.elapsed(),
-                        );
-                    }
-                    SlotState::Failed { error, .. } => {
-                        let code = error.code();
-                        inner.ops.finish(
-                            req_id,
-                            tenant_idx,
-                            Stage::Failed,
-                            now,
-                            now,
-                            Some(code),
-                            submitted.elapsed(),
-                        );
-                    }
-                    SlotState::Pending(_) => {
-                        // Whether the reservation is still pending or
-                        // already filled at this instant is a wall-clock
-                        // race against the workers, so the terminal is
-                        // *deferred*: the waiter parks on the producing
-                        // reservation and settles with that compile's
-                        // deterministic outcome, stamped at this admit
-                        // tick — identical bytes either way.
-                        inner.ops.park(
-                            entry_id,
-                            Waiter {
-                                req_id,
-                                tenant: tenant_idx,
-                                admit_tick: now,
-                                admit_at: submitted,
-                            },
-                        );
-                    }
-                }
-                return self.resolve(state, Outcome::Hit, submitted);
-            }
-            Lookup::ExpiredNegative { strikes: prior } => {
-                // The backoff window lapsed: retry the compile, but keep
-                // the failure history so the next TTL keeps growing.
-                strikes = prior;
-                inner.stats.negative_expired += 1;
-                q.add("qserve/negative/expired", 1);
-                inner.ops.journal.push(
-                    JournalEvent::new(now, "negative_expire")
-                        .tenant(tenant_idx as u32)
-                        .spec(spec_fp)
-                        .request(req_id)
-                        .field("strikes", u64::from(prior)),
-                );
-            }
-            Lookup::Miss => {}
+        let mut inner = self.shared.lock();
+        let decision = inner.core.decide(request, inline, submitted);
+        let ops = &mut inner.core.ops;
+        let fills = self.shared.apply(ops, decision.effects);
+        // A request settled at admission: its end-to-end latency is the
+        // ticket's.
+        let latency = submitted.elapsed();
+        if let Some(who) = &decision.settled {
+            ops.observe_e2e(who.tenant, latency);
         }
-
-        let mut probe = false;
-        if matches!(mode, AdmitMode::Queue) {
-            // Fail-fast gates. Cache hits never reach them: a cached
-            // artifact is safe to serve no matter how sick the
-            // program's compiles are. The order matters twice over: the
-            // token bucket comes last so only a request that actually
-            // queues a compile pays a token, and every exit past the
-            // breaker returns a consumed half-open probe slot
-            // (`abort_probe`) — a probe admission that is then shed,
-            // rejected or throttled dispatches no compile, and without
-            // the abort no completion would ever move the breaker out
-            // of half-open again.
-            if let Some(reason) = inner.poison.quarantined(spec_fp) {
-                inner.stats.quarantine_rejects += 1;
-                inner.note(fp, 5);
-                q.add("qserve/quarantine/rejects", 1);
-                let error = ServeError::Quarantined { spec_fp, reason };
-                inner.ops.finish(
-                    req_id,
-                    tenant_idx,
-                    Stage::Quarantined,
-                    now,
-                    now,
-                    Some(error.code()),
-                    submitted.elapsed(),
-                );
-                return self.reject_now(error, Outcome::Quarantined, submitted);
-            }
-            match inner.breakers[tenant_idx].admit(now) {
-                BreakerDecision::Admit => {}
-                BreakerDecision::Probe => {
-                    probe = true;
-                    inner.ops.journal.push(
-                        JournalEvent::new(now, "breaker_probe")
-                            .tenant(tenant_idx as u32)
-                            .request(req_id),
-                    );
-                }
-                BreakerDecision::Reject { retry_in } => {
-                    inner.stats.breaker_rejects += 1;
-                    inner.note(fp, 6);
-                    q.add("qserve/breaker/rejects", 1);
-                    let error = ServeError::CircuitOpen {
-                        tenant: request.tenant,
-                        retry_in,
-                    };
-                    inner.ops.finish(
-                        req_id,
-                        tenant_idx,
-                        Stage::CircuitOpen,
-                        now,
-                        now,
-                        Some(error.code()),
-                        submitted.elapsed(),
-                    );
-                    return self.reject_now(error, Outcome::BreakerOpen, submitted);
-                }
-            }
-
-            if inner.queued >= self.config.queue_capacity {
-                // Shed: serve a cached cheaper rung before rejecting. A
-                // negatively cached rung is no substitute — serving one
-                // key's error for another key's request helps nobody —
-                // and the probe is read-only: an expired negative rung
-                // keeps its strike history for its own next admission
-                // (see [`ArtifactCache::probe_servable`]).
-                for (steps, rung) in key.options.ladder().into_iter().enumerate().skip(1) {
-                    let alt = CacheKey::new(key.spec.clone(), rung, inner.topology_fp, inner.epoch);
-                    let alt_fp = alt.fingerprint();
-                    if let Some(state) = inner.cache.probe_servable(alt_fp, &alt) {
-                        inner.stats.shed += 1;
-                        inner.note(alt_fp, 3);
-                        q.add("qserve/shed", 1);
-                        if probe {
-                            abort_probe(&mut inner, tenant_idx, now, req_id);
-                        }
-                        inner.ops.finish(
-                            req_id,
-                            tenant_idx,
-                            Stage::Shed,
-                            now,
-                            now,
-                            None,
-                            submitted.elapsed(),
-                        );
-                        let outcome = Outcome::Shed { rungs: steps as u8 };
-                        return self.resolve(state, outcome, submitted);
-                    }
-                }
-                inner.stats.rejected += 1;
-                inner.note(fp, 4);
-                q.add("qserve/rejected", 1);
-                if probe {
-                    abort_probe(&mut inner, tenant_idx, now, req_id);
-                }
-                let error = ServeError::Overloaded {
-                    queued: inner.queued,
-                    capacity: self.config.queue_capacity,
-                };
-                inner.ops.finish(
-                    req_id,
-                    tenant_idx,
-                    Stage::Rejected,
-                    now,
-                    now,
-                    Some(error.code()),
-                    submitted.elapsed(),
-                );
-                return self.reject_now(error, Outcome::Rejected, submitted);
-            }
-            if let Some(buckets) = inner.buckets.as_mut() {
-                if !buckets[tenant_idx].try_take(now) {
-                    inner.stats.throttled += 1;
-                    inner.note(fp, 7);
-                    q.add("qserve/throttled", 1);
-                    if probe {
-                        abort_probe(&mut inner, tenant_idx, now, req_id);
-                    }
-                    let error = ServeError::Throttled {
-                        tenant: request.tenant,
-                    };
-                    inner.ops.finish(
-                        req_id,
-                        tenant_idx,
-                        Stage::Throttled,
-                        now,
-                        now,
-                        Some(error.code()),
-                        submitted.elapsed(),
-                    );
-                    return self.reject_now(error, Outcome::Throttled, submitted);
-                }
-            }
-        }
-
-        inner.stats.misses += 1;
-        inner.ops.tenants[tenant_idx].misses += 1;
-        inner.note(fp, 1);
-        q.add("qserve/cache/misses", 1);
-        let completion = Arc::new(Completion::default());
-        let (id, evicted) = inner
-            .cache
-            .reserve(fp, key.clone(), Arc::clone(&completion));
-        if !evicted.is_empty() {
-            inner.stats.evictions += evicted.len() as u64;
-            q.add("qserve/cache/evictions", evicted.len() as u64);
-            if let Some(store) = &self.shared.spill {
-                for victim in evicted {
-                    store.unlink(victim);
-                }
-            }
-        }
-        let fault_seq = inner.next_fault_seq;
-        inner.next_fault_seq += 1;
-        let job = Job {
-            fp,
-            id,
-            req_id,
-            key,
-            spec_fp,
-            tenant: request.tenant,
-            seed: request.seed,
-            deadline: request.deadline.map(|d| now + d),
-            admit_tick: now,
-            admit_at: submitted,
-            fault_seq,
-            strikes,
-            probe,
-            token: CancelToken::new(),
-            context: Arc::clone(&inner.context),
-            completion: Arc::clone(&completion),
-        };
-        let ticket = Ticket {
-            _service: self,
-            state: TicketState::Pending {
-                completion,
-                outcome: Outcome::Miss,
-                submitted,
-            },
-        };
-        match mode {
-            AdmitMode::Queue => {
-                inner.ops.lifecycle.push(req_id, Stage::Queued, now);
-                inner.queues[tenant_idx].push_back(job);
-                inner.queued += 1;
-                drop(inner);
-                self.shared.work.notify_one();
-            }
-            AdmitMode::Inline => {
-                inner.ops.lifecycle.push(req_id, Stage::Dispatched, now);
-                drop(inner);
-                execute(&self.shared, job);
-            }
-        }
-        ticket
-    }
-
-    /// A pre-resolved failure ticket (reject or fail-fast).
-    fn reject_now(&self, error: ServeError, outcome: Outcome, submitted: Instant) -> Ticket<'_> {
-        let served_order = self.shared.served.fetch_add(1, Ordering::SeqCst) + 1;
-        Ticket {
-            _service: self,
-            state: TicketState::Ready(Response {
-                result: Err(error),
+        let outcome = decision.outcome;
+        let ready = |result| {
+            TicketState::Ready(Response {
+                result,
                 outcome,
-                served_order,
-                latency: submitted.elapsed(),
-            }),
-        }
-    }
-
-    fn resolve(&self, state: SlotState, outcome: Outcome, submitted: Instant) -> Ticket<'_> {
-        let state = match state {
-            SlotState::Ready(artifact) => {
-                let served_order = self.shared.served.fetch_add(1, Ordering::SeqCst) + 1;
-                TicketState::Ready(Response {
-                    result: Ok(artifact),
-                    outcome,
-                    served_order,
-                    latency: submitted.elapsed(),
-                })
-            }
-            SlotState::Failed { error, .. } => {
-                let served_order = self.shared.served.fetch_add(1, Ordering::SeqCst) + 1;
-                TicketState::Ready(Response {
-                    result: Err(error),
-                    outcome,
-                    served_order,
-                    latency: submitted.elapsed(),
-                })
-            }
-            SlotState::Pending(completion) => TicketState::Pending {
+                served_order: self.shared.next_served(),
+                latency,
+            })
+        };
+        let state = match decision.answer {
+            Ok(SlotState::Pending(completion)) => TicketState::Pending {
                 completion,
                 outcome,
                 submitted,
             },
+            Ok(SlotState::Ready(artifact)) => ready(Ok(artifact)),
+            Ok(SlotState::Failed { error, .. }) | Err(error) => ready(Err(error)),
         };
+        drop(inner);
+        self.shared.publish(fills);
+        match decision.inline {
+            Some(job) => execute(&self.shared, *job),
+            None if outcome == Outcome::Miss => self.shared.work.notify_one(),
+            None => {}
+        }
         Ticket {
             _service: self,
             state,
@@ -997,25 +645,13 @@ impl Service {
     /// invalidated entries.
     pub fn reload_calibration(&self, calibration: Option<Calibration>) -> usize {
         let calibration_fp = calibration.as_ref().map(Calibration::fingerprint);
-        let mut inner = self.shared.inner.lock().expect("service lock");
-        let topology = inner.context.topology().clone();
-        inner.context = Arc::new(HardwareContext::from_parts(topology, calibration));
-        inner.epoch += 1;
-        inner.stats.epoch_bumps += 1;
-        let dropped = inner.cache.invalidate_calibration_dependent();
-        inner.stats.invalidated += dropped.len() as u64;
-        let reload_event = JournalEvent::new(inner.now, "calibration_reload")
-            .field("epoch", inner.epoch)
-            .field("invalidated", dropped.len() as u64);
-        inner.ops.journal.push(reload_event);
-        let q = qtrace::global();
-        q.add("qserve/epoch_bumps", 1);
-        q.add("qserve/cache/invalidated", dropped.len() as u64);
+        let mut inner = self.shared.lock();
+        let dropped = inner.core.reload(calibration);
         if let Some(store) = &self.shared.spill {
-            for victim in &dropped {
-                store.unlink(*victim);
+            for &victim in &dropped {
+                store.unlink(victim);
             }
-            let _ = store.write_meta(inner.epoch, calibration_fp);
+            let _ = store.write_meta(inner.core.epoch, calibration_fp);
         }
         dropped.len()
     }
@@ -1023,49 +659,29 @@ impl Service {
     /// Lifts the quarantine of `spec_fp` (and clears its strikes), e.g.
     /// after a compiler fix ships. Returns whether it was quarantined.
     pub fn release_quarantine(&self, spec_fp: u64) -> bool {
-        let mut inner = self.shared.inner.lock().expect("service lock");
-        let released = inner.poison.release(spec_fp);
-        if released {
-            let event = JournalEvent::new(inner.now, "quarantine_release").spec(spec_fp);
-            inner.ops.journal.push(event);
-        }
-        released
+        self.shared.lock().core.release_quarantine(spec_fp)
     }
 
     /// The current calibration epoch (starts at 0 or the recovered
     /// spill epoch, +1 per reload).
     pub fn epoch(&self) -> u64 {
-        self.shared.inner.lock().expect("service lock").epoch
+        self.shared.lock().core.epoch
     }
 
     /// A snapshot of the deterministic service counters.
     pub fn stats(&self) -> ServiceStats {
-        let inner = self.shared.inner.lock().expect("service lock");
-        let mut stats = inner.stats;
-        stats.epoch = inner.epoch;
-        stats.cached_entries = inner.cache.len();
-        stats.queued = inner.queued;
-        stats.quarantined_specs = inner.poison.len() as u64;
-        stats.breakers_open = inner.breakers.iter().filter(|b| b.is_open()).count() as u64;
-        stats.now_tick = inner.now;
-        stats
+        self.shared.lock().core.stats()
     }
 
     /// Runs one queued job inline on the calling thread, if any. With
     /// `workers: 0` this is the only way jobs execute, which gives tests
     /// full control over completion order.
     pub fn drain_one(&self) -> bool {
-        let job = {
-            let mut inner = self.shared.inner.lock().expect("service lock");
-            pop_job(&mut inner)
+        let Some(job) = self.shared.lock().core.dispatch() else {
+            return false;
         };
-        match job {
-            Some(job) => {
-                execute(&self.shared, job);
-                true
-            }
-            None => false,
-        }
+        execute(&self.shared, job);
+        true
     }
 
     /// Emits the admission-sequence fingerprint and cache occupancy as
@@ -1079,41 +695,14 @@ impl Service {
     /// only when nonzero, so fault-free manifests are byte-identical to
     /// pre-fault-plane baselines.
     pub fn flush_telemetry(&self) {
-        let inner = self.shared.inner.lock().expect("service lock");
-        let fp = inner.stats.sequence_fp;
-        let q = qtrace::global();
-        q.gauge_max("qserve/cache/sequence_fp", (fp >> 32) ^ (fp & 0xffff_ffff));
-        q.gauge_max("qserve/cache/entries", inner.cache.len() as u64);
-        if inner.poison.len() > 0 {
-            q.gauge_max("qserve/quarantine/entries", inner.poison.len() as u64);
-        }
-        inner.ops.flush_metrics(q);
-        for (idx, breaker) in inner.breakers.iter().enumerate() {
-            let code = breaker.state_code();
-            if code > 0 {
-                q.gauge_max(&format!("qserve/tenant/{idx}/breaker_state"), code);
-            }
-        }
-        if let Some(buckets) = inner.buckets.as_ref() {
-            for (idx, bucket) in buckets.iter().enumerate() {
-                q.gauge_max(
-                    &format!("qserve/tenant/{idx}/bucket_level"),
-                    bucket.level(inner.now),
-                );
-            }
-        }
-        let dropped = inner.ops.lifecycle.dropped();
-        if dropped > 0 {
-            q.gauge_max("qserve/ops/lifecycle_dropped", dropped);
-        }
+        self.shared.lock().core.flush_telemetry();
     }
 
     /// Drains the ops journal: every failure-plane action since the last
     /// drain, in deterministic occurrence order. Render with
     /// [`crate::ops::render_journal`].
     pub fn take_journal(&self) -> Vec<JournalEvent> {
-        let mut inner = self.shared.inner.lock().expect("service lock");
-        inner.ops.journal.take()
+        self.shared.lock().core.ops.journal.take()
     }
 
     /// Drains the request lifecycle log: one trace per admitted request,
@@ -1121,24 +710,19 @@ impl Service {
     /// [`crate::ops::render_lifecycle`] or export via
     /// [`crate::ops::lifecycle_manifest`].
     pub fn take_lifecycle(&self) -> Vec<RequestTrace> {
-        let mut inner = self.shared.inner.lock().expect("service lock");
-        inner.ops.lifecycle.take()
+        self.shared.lock().core.ops.lifecycle.take()
     }
 
     /// How many lifecycle records were dropped to the capacity bound
     /// since startup. Zero in every deterministic-campaign baseline.
     pub fn lifecycle_dropped(&self) -> u64 {
-        let inner = self.shared.inner.lock().expect("service lock");
-        inner.ops.lifecycle.dropped()
+        self.shared.lock().core.ops.lifecycle.dropped()
     }
 }
 
 impl Drop for Service {
     fn drop(&mut self) {
-        {
-            let mut inner = self.shared.inner.lock().expect("service lock");
-            inner.shutdown = true;
-        }
+        self.shared.lock().shutdown = true;
         self.shared.work.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -1146,175 +730,37 @@ impl Drop for Service {
     }
 }
 
-#[derive(Clone, Copy)]
-enum AdmitMode {
-    Queue,
-    Inline,
-}
-
-impl Inner {
-    /// Folds one admission outcome into the order-sensitive sequence
-    /// fingerprint (FNV-style).
-    fn note(&mut self, fp: u64, code: u8) {
-        let fold = fp.rotate_left(u32::from(code) * 8) ^ u64::from(code);
-        self.stats.sequence_fp = (self.stats.sequence_fp ^ fold).wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-/// Returns an undispatched probe slot to the tenant's breaker and
-/// journals the abort, so a half-open breaker is never left wedged by
-/// an admission that terminated before reaching a worker.
-fn abort_probe(inner: &mut Inner, tenant_idx: usize, now: u64, req_id: u64) {
-    inner.breakers[tenant_idx].abort_probe(now);
-    inner.ops.journal.push(
-        JournalEvent::new(now, "breaker_probe_abort")
-            .tenant(tenant_idx as u32)
-            .request(req_id),
-    );
-}
-
-/// Sweeps the deadline plane at the current clock: reaps expired queued
-/// jobs (their waiters get [`ServeError::DeadlineExceeded`], their
-/// reservations are forgotten — a deadline lapse is not a negative
-/// verdict on the key) and cancels expired in-flight compiles. Runs
-/// under the admission lock on every clock movement.
-fn sweep_deadlines(inner: &mut Inner, served: &AtomicU64) {
-    let now = inner.now;
-    let mut reaped: Vec<Job> = Vec::new();
-    for queue in &mut inner.queues {
-        for _ in 0..queue.len() {
-            let job = queue.pop_front().expect("iterating queue.len() items");
-            if job.deadline.is_some_and(|d| now > d) {
-                reaped.push(job);
-            } else {
-                queue.push_back(job);
-            }
-        }
-    }
-    if !reaped.is_empty() {
-        inner.queued -= reaped.len();
-        inner.stats.deadline_reaped += reaped.len() as u64;
-        qtrace::global().add("qserve/deadline/reaped", reaped.len() as u64);
-        for job in reaped {
-            inner.cache.forget(job.fp, job.id);
-            let tenant_idx = job.tenant as usize % inner.breakers.len();
-            if job.probe {
-                // The probe never reached a worker, so no completion
-                // will decide it: return the slot instead of leaving
-                // the tenant's breaker wedged in half-open.
-                abort_probe(inner, tenant_idx, now, job.req_id);
-            }
-            let error = ServeError::DeadlineExceeded {
-                deadline: job.deadline.expect("reaped implies a deadline"),
-                now,
-            };
-            inner.ops.finish(
-                job.req_id,
-                tenant_idx,
-                Stage::Reaped,
-                job.admit_tick,
-                now,
-                Some(error.code()),
-                job.admit_at.elapsed(),
-            );
-            // Pending-hit waiters parked on this reservation share its
-            // fate: the completion below resolves them all with the
-            // same DeadlineExceeded, so their lifecycle terminal is the
-            // same reap at the same sweep tick.
-            for waiter in inner.ops.take_waiters(job.id) {
-                inner.ops.finish(
-                    waiter.req_id,
-                    waiter.tenant,
-                    Stage::Reaped,
-                    waiter.admit_tick,
-                    now,
-                    Some(error.code()),
-                    waiter.admit_at.elapsed(),
-                );
-            }
-            let served_order = served.fetch_add(1, Ordering::SeqCst) + 1;
-            let mut slot = job.completion.slot.lock().expect("completion lock");
-            *slot = Some((Err(error), served_order, Instant::now()));
-            drop(slot);
-            job.completion.ready.notify_all();
-        }
-    }
-    let cancelled = inner.inflight.sweep(now);
-    if cancelled > 0 {
-        inner.stats.cancelled += cancelled;
-        qtrace::global().add("qserve/deadline/cancelled", cancelled);
-    }
-}
-
-/// Round-robin pop across tenant queues, resuming after the last-served
-/// tenant so a busy tenant cannot starve the others. Dispatched
-/// deadline-bearing jobs are registered with the in-flight sweep so a
-/// later clock movement can cancel them mid-compile.
-fn pop_job(inner: &mut Inner) -> Option<Job> {
-    let tenants = inner.queues.len();
-    for offset in 0..tenants {
-        let idx = (inner.rr_cursor + offset) % tenants;
-        if let Some(job) = inner.queues[idx].pop_front() {
-            inner.rr_cursor = (idx + 1) % tenants;
-            inner.queued -= 1;
-            if let Some(deadline) = job.deadline {
-                inner.inflight.register(job.id, deadline, job.token.clone());
-            }
-            // Dispatch is scheduler-dependent, so it is stamped with the
-            // admit tick: the lifecycle log stays a pure function of the
-            // request stream regardless of worker count.
-            inner
-                .ops
-                .lifecycle
-                .push(job.req_id, Stage::Dispatched, job.admit_tick);
-            return Some(job);
-        }
-    }
-    None
-}
-
 fn worker_loop(shared: &Shared) {
+    let mut inner = shared.lock();
     loop {
-        let job = {
-            let mut inner = shared.inner.lock().expect("service lock");
-            loop {
-                if let Some(job) = pop_job(&mut inner) {
-                    break Some(job);
-                }
-                if inner.shutdown {
-                    break None;
-                }
-                inner = shared.work.wait(inner).expect("service lock");
-            }
-        };
-        match job {
-            Some(job) => execute(shared, job),
-            None => return,
+        if let Some(job) = inner.core.dispatch() {
+            drop(inner);
+            execute(shared, job);
+            inner = shared.lock();
+        } else if inner.shutdown {
+            return;
+        } else {
+            inner = shared.work.wait(inner).expect("service lock");
         }
     }
 }
 
-/// Compiles one reserved job and publishes the result: cache state
-/// first (so later admissions see `Ready`/`Failed` directly), then the
-/// completion slot for the waiters. Panics are contained exactly like
+/// Compiles one reserved job, hands the attempt to the core and
+/// publishes the result. Panics are contained exactly like
 /// `qcompile::compile_batch` does it; injected service faults (worker
 /// panics, virtual stalls) detonate here, keyed by the job's compile
 /// admission ordinal.
 fn execute(shared: &Shared, job: Job) {
     let dispatched_at = Instant::now();
-    let fault = shared
-        .fault_plane
-        .as_ref()
-        .and_then(|plane| plane.fault_for(job.fault_seq));
+    let plane = shared.fault_plane.as_deref();
+    let fault = plane.and_then(|plane| plane.fault_for(job.fault_seq));
     if let Some(ServiceFault::SlowCompile { ticks }) = fault {
         // A virtual stall: if losing `ticks` to it would blow the
         // job's deadline, the compile is cancelled exactly as a real
         // sweep would — no wall-clock sleeping, so the campaign stays
         // fast and deterministic.
-        if job
-            .deadline
-            .is_some_and(|deadline| job.admit_tick + ticks > deadline)
-        {
+        let admit_tick = job.owner.admit_tick;
+        if job.deadline.is_some_and(|d| admit_tick + ticks > d) {
             job.token.cancel();
         }
     }
@@ -1341,181 +787,20 @@ fn execute(shared: &Shared, job: Job) {
             job.spec_fp, job.tenant
         )))
     });
-    let timed_out = matches!(attempt, Err(CompileError::Cancelled));
-    let deadline_error = timed_out.then_some(job.deadline).flatten();
-    let result: Result<Arc<CompiledArtifact>, ServeError> = match attempt {
-        Ok(artifact) => Ok(Arc::new(artifact)),
-        // A deadline cancellation surfaces as the service-level error,
-        // not a compiler internal.
-        Err(CompileError::Cancelled) if deadline_error.is_some() => {
-            Err(ServeError::DeadlineExceeded {
-                deadline: deadline_error.expect("guarded by is_some"),
-                now: 0, // patched to the completion tick under the lock
-            })
-        }
-        Err(e) => Err(ServeError::Compile(e)),
-    };
     // Spill before publishing: recovery independently verifies bytes,
-    // so an orphaned file (entry evicted mid-compile) is harmless and
-    // unlinked below.
-    let mut spilled = false;
-    if let (Ok(artifact), Some(store)) = (&result, &shared.spill) {
-        spilled = store.save(job.fp, &job.key, artifact).is_ok();
-    }
-    let served_order = shared.served.fetch_add(1, Ordering::SeqCst) + 1;
-    let result = {
-        let mut inner = shared.inner.lock().expect("service lock");
-        let now = inner.now;
-        let q = qtrace::global();
-        inner.inflight.complete(job.id);
-        // Patch the completion tick into a deadline error.
-        let result = match result {
-            Err(ServeError::DeadlineExceeded { deadline, .. }) => {
-                Err(ServeError::DeadlineExceeded { deadline, now })
-            }
-            other => other,
-        };
-        // Negative-cache policy: failures that retrying can plausibly
-        // fix (recoverable errors, timeouts, panics) get a backoff TTL;
-        // structurally invalid programs are cached forever.
-        let (expires_at, strikes) = match &result {
-            Ok(_) => (None, 0),
-            Err(error) => {
-                let strikes = job.strikes + 1;
-                let retryable = panicked
-                    || timed_out
-                    || matches!(
-                        error,
-                        ServeError::Compile(e) if e.recoverable()
-                    );
-                let expires_at = retryable.then(|| now + inner.backoff.ttl(job.fp, strikes));
-                (expires_at, strikes)
-            }
-        };
-        if let Some(expiry) = expires_at {
-            let tenant_idx = job.tenant as usize % inner.breakers.len();
-            inner.ops.journal.push(
-                JournalEvent::new(now, "negative_strike")
-                    .tenant(tenant_idx as u32)
-                    .spec(job.spec_fp)
-                    .request(job.req_id)
-                    .field("strikes", u64::from(strikes))
-                    .field("ttl", expiry.saturating_sub(now)),
-            );
-        }
-        let live = inner
-            .cache
-            .complete(job.fp, job.id, &result, expires_at, strikes);
-        if spilled {
-            if live && result.is_ok() {
-                inner.stats.spill_saved += 1;
-                q.add("qserve/spill/saved", 1);
-            } else if let Some(store) = &shared.spill {
-                // The entry was evicted or invalidated mid-compile; its
-                // spill must not survive it.
-                store.unlink(job.fp);
-            }
-        }
-        // Poison ledger: panics and deadline timeouts strike the
-        // *program*; enough of them quarantine it under every option
-        // set.
-        let verdict = if panicked {
-            inner.poison.strike_panic(job.spec_fp)
-        } else if timed_out {
-            inner.poison.strike_timeout(job.spec_fp)
-        } else {
-            None
-        };
-        let tenant_idx = job.tenant as usize % inner.breakers.len();
-        if let Some(reason) = verdict {
-            q.add("qserve/quarantine/new", 1);
-            let total = match reason {
-                QuarantineReason::Panicked { strikes } | QuarantineReason::TimedOut { strikes } => {
-                    strikes
-                }
-            };
-            inner.ops.journal.push(
-                JournalEvent::new(now, "quarantine_add")
-                    .tenant(tenant_idx as u32)
-                    .spec(job.spec_fp)
-                    .request(job.req_id)
-                    .note(reason.label())
-                    .field("strikes", u64::from(total)),
-            );
-        }
-        // The tenant's breaker watches every compile completion.
-        match inner.breakers[tenant_idx].record(now, result.is_ok()) {
-            BreakerTransition::Tripped => {
-                inner.stats.breaker_trips += 1;
-                q.add("qserve/breaker/trips", 1);
-                inner.ops.journal.push(
-                    JournalEvent::new(now, "breaker_trip")
-                        .tenant(tenant_idx as u32)
-                        .request(job.req_id),
-                );
-            }
-            BreakerTransition::Closed => {
-                inner.ops.journal.push(
-                    JournalEvent::new(now, "breaker_close")
-                        .tenant(tenant_idx as u32)
-                        .request(job.req_id),
-                );
-            }
-            BreakerTransition::None => {}
-        }
-        // Terminal lifecycle stamp. Completion/failure order across
-        // workers is scheduler-dependent, so scheduler-reached
-        // terminals are stamped with the admit tick; a deadline
-        // cancellation is stamped with the deadline itself. Either way
-        // the stamp is a pure function of the request stream.
-        let (stage, stamp, err) = match &result {
-            Ok(_) => (Stage::Completed, job.admit_tick, None),
-            Err(e @ ServeError::DeadlineExceeded { deadline, .. }) => {
-                (Stage::Cancelled, *deadline, Some(e.code()))
-            }
-            Err(e) => (Stage::Failed, job.admit_tick, Some(e.code())),
-        };
-        inner.ops.finish(
-            job.req_id,
-            tenant_idx,
-            stage,
-            job.admit_tick,
-            stamp,
-            err,
-            job.admit_at.elapsed(),
-        );
-        // Settle the pending-hit waiters parked on this reservation:
-        // the completion below hands them this exact result, so each
-        // gets the same terminal stage and error code, stamped at its
-        // own admit tick (or the shared deadline for cancellations).
-        for waiter in inner.ops.take_waiters(job.id) {
-            let (stage, stamp, err) = match &result {
-                Ok(_) => (Stage::Completed, waiter.admit_tick, None),
-                Err(e @ ServeError::DeadlineExceeded { deadline, .. }) => {
-                    (Stage::Cancelled, *deadline, Some(e.code()))
-                }
-                Err(e) => (Stage::Failed, waiter.admit_tick, Some(e.code())),
-            };
-            inner.ops.finish(
-                waiter.req_id,
-                waiter.tenant,
-                stage,
-                waiter.admit_tick,
-                stamp,
-                err,
-                waiter.admit_at.elapsed(),
-            );
-        }
-        inner.ops.observe_execution(
-            tenant_idx,
-            dispatched_at.saturating_duration_since(job.admit_at),
-            compile_elapsed,
-        );
-        result
+    // so an orphaned file (entry evicted mid-compile) is harmless, and
+    // the core has it unlinked.
+    let spilled = match (&attempt, &shared.spill) {
+        (Ok(artifact), Some(store)) => store.save(job.fp, &job.key, artifact).is_ok(),
+        _ => false,
     };
-    let resolved_at = Instant::now();
-    let mut slot = job.completion.slot.lock().expect("completion lock");
-    *slot = Some((result, served_order, resolved_at));
-    drop(slot);
-    job.completion.ready.notify_all();
+    let owner = job.owner;
+    let mut inner = shared.lock();
+    let effects = inner.core.complete(job, attempt, panicked, spilled);
+    let ops = &mut inner.core.ops;
+    let queue_wait = dispatched_at.saturating_duration_since(owner.admit_at);
+    ops.observe_execution(owner.tenant, queue_wait, compile_elapsed);
+    let fills = shared.apply(ops, effects);
+    drop(inner);
+    shared.publish(fills);
 }

@@ -321,6 +321,59 @@ fn deadline_reaped_probe_returns_the_breaker_slot() {
     );
 }
 
+/// Exactly one half-open probe decides the breaker. A straggler queued
+/// before the trip and finishing after the probe was admitted is not
+/// that probe: it must neither close the breaker in the probe's place
+/// nor keep the probe's failure from re-tripping it.
+#[test]
+fn straggler_cannot_decide_a_half_open_breaker() {
+    let config = ServiceConfig {
+        quarantine_threshold: 0, // isolate the breaker
+        breaker: BreakerConfig {
+            failure_threshold: 2,
+            cooldown_ticks: 4,
+        },
+        ..inline_config()
+    };
+    let service = Service::new(Topology::grid(2, 3), None, config);
+    // A 7-qubit program cannot fit the 6-qubit device: it always fails.
+    let failing = |shift: usize| Request::new(0, line_spec(7, shift), CompileOptions::ic(), 3);
+
+    // Two failures, then a good job, all queued before any completes.
+    let first = service.submit(failing(0));
+    let second = service.submit(failing(1));
+    let straggler = service.submit(Request::new(0, line_spec(6, 0), CompileOptions::ic(), 3));
+    assert!(service.drain_one() && service.drain_one());
+    assert!(first.wait().result.is_err() && second.wait().result.is_err());
+    assert_eq!(service.stats().breaker_trips, 1, "two failures trip it");
+
+    // Cooldown over: a failing probe is admitted behind the straggler.
+    service.advance(5);
+    let probe = service.submit(failing(2));
+    assert_eq!(probe.outcome(), Outcome::Miss, "half-open probe admitted");
+    assert!(service.drain_one());
+    assert!(straggler.wait().result.is_ok(), "the straggler compiles");
+    assert!(service.drain_one());
+    assert!(probe.wait().result.is_err());
+
+    // The probe's failure re-tripped the breaker; the straggler decided
+    // nothing, so the next miss fails fast.
+    assert_eq!(service.stats().breaker_trips, 2);
+    assert_eq!(service.call(failing(3)).outcome, Outcome::BreakerOpen);
+    let journal = service.take_journal();
+    assert!(journal.iter().all(|event| event.code != "breaker_close"));
+    let trips: Vec<Option<u64>> = journal
+        .iter()
+        .filter(|event| event.code == "breaker_trip")
+        .map(|event| event.request)
+        .collect();
+    assert_eq!(
+        trips,
+        vec![Some(2), Some(4)],
+        "request 2 trips, probe 4 re-trips"
+    );
+}
+
 /// The token bucket charges compiles that actually queue: a request
 /// rejected under overload must not drain the tenant's budget (or a
 /// tenant would pay tokens for rejections all through an overload and

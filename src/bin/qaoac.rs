@@ -29,7 +29,7 @@
 use std::io::Write as _;
 
 use qaoa::{MaxCut, QaoaParams};
-use qcompile::{compile, Compilation, CompileOptions, InitialMapping, QaoaSpec};
+use qcompile::{try_compile, Compilation, CompileOptions, InitialMapping, QaoaSpec};
 use qhw::{Calibration, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -203,7 +203,8 @@ fn run() -> Result<(), String> {
     } else {
         Calibration::random_normal(&topo, 1.0e-2, 0.5e-2, &mut rng)
     };
-    let compiled = compile(&spec, &topo, Some(&calibration), &options, &mut rng);
+    let compiled = try_compile(&spec, &topo, Some(&calibration), &options, &mut rng)
+        .map_err(|e| e.to_string())?;
 
     eprintln!(
         "compiled: depth {}, {} gates ({} CNOTs), {} SWAPs, success probability {:.3e}, {:?}",
