@@ -9,7 +9,7 @@
 use bench::cli::Cli;
 use bench::stats::{mean, row};
 use bench::workloads::{instances, Family};
-use qcompile::ic::compile_incremental_with;
+use qcompile::ic::try_compile_incremental_with;
 use qcompile::mapping::qaim;
 use qhw::Topology;
 use qroute::RoutingMetric;
@@ -41,8 +41,10 @@ fn main() {
                 let spec = bench::compilation_spec(g, true);
                 let layout = qaim(&spec, &topo);
                 let mut rng = StdRng::seed_from_u64(22_100 + gi as u64);
-                let r =
-                    compile_incremental_with(&spec, &topo, layout, &metric, None, resort, &mut rng);
+                let r = try_compile_incremental_with(
+                    &spec, &topo, layout, &metric, None, resort, &mut rng,
+                )
+                .expect("tokyo fits every instance");
                 let basis = qcircuit::basis::to_basis(&r.circuit, Default::default()).unwrap();
                 swaps.push(r.swap_count as f64);
                 depths.push(basis.depth() as f64);

@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use bench::cli::Cli;
-use qcompile::{try_compile_with_context, CompileError, CompileOptions, QaoaSpec};
+use qcompile::{try_compile_artifact_with_context, CompileError, CompileOptions, QaoaSpec};
 use qhw::fault::{FaultInjector, FaultKind};
 use qhw::{Calibration, HardwareContext, Topology};
 use qroute::satisfies_coupling;
@@ -43,8 +43,9 @@ fn run(
     let q = qtrace::global();
     q.add("chaos/scenarios", 1);
     let mut rng = StdRng::seed_from_u64(seed);
-    match try_compile_with_context(spec, context, options, &mut rng) {
-        Ok(compiled) => {
+    match try_compile_artifact_with_context(spec, context, options, &mut rng) {
+        Ok(artifact) => {
+            let compiled = artifact.template();
             let ok = satisfies_coupling(compiled.physical(), topo);
             if ok {
                 q.add("chaos/delivered", 1);

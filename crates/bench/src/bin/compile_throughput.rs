@@ -33,7 +33,9 @@ use bench::cli::Cli;
 use bench::report::Report;
 use bench::stats::median;
 use bench::workloads::{instances, Family, ER_PROBABILITIES, REGULAR_DEGREES};
-use qcompile::{ic, mapping, reference, try_compile_with_context, CompileOptions, QaoaSpec};
+use qcompile::{
+    ic, mapping, reference, try_compile_artifact_with_context, CompileOptions, QaoaSpec,
+};
 use qhw::{HardwareContext, Topology};
 use qroute::RoutingMetric;
 use rand::rngs::StdRng;
@@ -61,16 +63,22 @@ fn time_compile(
     options: &CompileOptions,
     seed: u64,
 ) -> (f64, f64, f64) {
-    let compiled =
-        try_compile_with_context(spec, context, options, &mut StdRng::seed_from_u64(seed))
-            .expect("throughput workloads compile");
+    let compile = || {
+        try_compile_artifact_with_context(spec, context, options, &mut StdRng::seed_from_u64(seed))
+            .expect("throughput workloads compile")
+    };
+    let artifact = compile();
+    let compiled = artifact.template();
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
         let start = Instant::now();
-        let c = try_compile_with_context(spec, context, options, &mut StdRng::seed_from_u64(seed))
-            .expect("throughput workloads compile");
+        let c = compile();
         best = best.min(start.elapsed().as_secs_f64() * 1e6);
-        assert_eq!(c.depth(), compiled.depth(), "compile must be deterministic");
+        assert_eq!(
+            c.template().depth(),
+            compiled.depth(),
+            "compile must be deterministic"
+        );
     }
     (best, compiled.depth() as f64, compiled.swap_count() as f64)
 }

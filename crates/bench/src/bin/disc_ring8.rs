@@ -7,15 +7,15 @@
 
 use bench::cli::Cli;
 use bench::stats::{mean, row};
-use qcompile::{compile, CompileOptions, QaoaSpec};
-use qhw::Topology;
+use qcompile::{try_compile_artifact_with_context, CompileOptions, QaoaSpec};
+use qhw::{HardwareContext, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
     let cli = Cli::parse("disc_ring8");
     let count = cli.pos_usize(0, 50);
-    let topo = Topology::ring(8);
+    let context = HardwareContext::shared(&Topology::ring(8), None);
 
     let mut depth_naive = Vec::new();
     let mut depth_ic = Vec::new();
@@ -29,8 +29,13 @@ fn main() {
         let problem = qaoa::MaxCut::without_optimum(g);
         let spec = QaoaSpec::from_maxcut(&problem, &qaoa::QaoaParams::p1(0.9, 0.35), true);
         let mut rng = StdRng::seed_from_u64(13_500 + i as u64);
-        let naive = compile(&spec, &topo, None, &CompileOptions::naive(), &mut rng);
-        let ic = compile(&spec, &topo, None, &CompileOptions::ic(), &mut rng);
+        let naive =
+            try_compile_artifact_with_context(&spec, &context, &CompileOptions::naive(), &mut rng)
+                .expect("8-node instances fit ring(8)");
+        let ic =
+            try_compile_artifact_with_context(&spec, &context, &CompileOptions::ic(), &mut rng)
+                .expect("8-node instances fit ring(8)");
+        let (naive, ic) = (naive.template(), ic.template());
         depth_naive.push(naive.depth() as f64);
         depth_ic.push(ic.depth() as f64);
         gates_naive.push(naive.gate_count() as f64);

@@ -8,8 +8,8 @@
 use bench::cli::Cli;
 use bench::stats::{mean, row};
 use bench::workloads::{instances, Family};
-use qcompile::{compile, CompileOptions};
-use qhw::Topology;
+use qcompile::{try_compile_artifact_with_context, CompileOptions};
+use qhw::{HardwareContext, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -17,6 +17,7 @@ fn main() {
     let cli = Cli::parse("ext_heavy_hex");
     let count = cli.pos_usize(0, 10);
     let topo = Topology::heavy_hex(2, 2);
+    let context = HardwareContext::shared(&topo, None);
     println!(
         "=== Extension: strategies on {} ({} qubits, {count} 14-node ER(0.3) instances) ===",
         topo.name(),
@@ -42,7 +43,9 @@ fn main() {
         {
             let spec = bench::compilation_spec(g, true);
             let mut rng = StdRng::seed_from_u64(32_100 + gi as u64);
-            let c = compile(&spec, &topo, None, &options, &mut rng);
+            let artifact = try_compile_artifact_with_context(&spec, &context, &options, &mut rng)
+                .expect("heavy-hex fits every instance");
+            let c = artifact.template();
             assert!(qroute::satisfies_coupling(c.physical(), &topo));
             depths.push(c.depth() as f64);
             gates.push(c.gate_count() as f64);

@@ -15,15 +15,15 @@ use bench::cli::Cli;
 use bench::stats::mean;
 use bench::workloads::{instances, Family};
 use qaoa::MaxCut;
-use qcompile::{compile, CompileOptions, QaoaSpec};
-use qhw::Topology;
+use qcompile::{try_compile_artifact_with_context, CompileOptions, QaoaSpec};
+use qhw::{HardwareContext, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
     let cli = Cli::parse("ext_p_sweep");
     let count = cli.pos_usize(0, 3);
-    let topo = Topology::ibmq_20_tokyo();
+    let context = HardwareContext::shared(&Topology::ibmq_20_tokyo(), None);
 
     println!("=== Extension: QAOA level sweep ({count} 12-node 3-regular instances) ===");
     println!(
@@ -45,7 +45,10 @@ fn main() {
             ratios.push(expectation / problem.max_value());
             let spec = QaoaSpec::from_maxcut(&problem, &params, true);
             let mut rng = StdRng::seed_from_u64(30_100 + gi as u64);
-            let c = compile(&spec, &topo, None, &CompileOptions::ic(), &mut rng);
+            let artifact =
+                try_compile_artifact_with_context(&spec, &context, &CompileOptions::ic(), &mut rng)
+                    .expect("tokyo fits every instance");
+            let c = artifact.template();
             depths.push(c.depth() as f64);
             gates.push(c.gate_count() as f64);
             swaps.push(c.swap_count() as f64);

@@ -14,8 +14,8 @@
 use bench::cli::Cli;
 use bench::stats::mean;
 use bench::workloads::{instances, Family};
-use qcompile::{compile, CompileOptions};
-use qhw::Calibration;
+use qcompile::{try_compile_artifact_with_context, CompileOptions};
+use qhw::{Calibration, HardwareContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,6 +23,7 @@ fn main() {
     let cli = Cli::parse("ext_stale_calibration");
     let count = cli.pos_usize(0, 12);
     let (topo, cal_compile) = Calibration::melbourne_2020_04_08();
+    let context = HardwareContext::shared(&topo, Some(&cal_compile));
 
     println!(
         "=== Extension: VIC with stale calibration ({}, {count} 12-node ER(0.5) instances) ===",
@@ -44,20 +45,17 @@ fn main() {
             let mut d_rng = StdRng::seed_from_u64(33_500 + gi as u64 + (sigma * 100.0) as u64);
             let cal_execute = cal_compile.drifted(sigma, &mut d_rng);
             let mut rng = StdRng::seed_from_u64(33_100 + gi as u64);
-            let ic = compile(
+            let ic =
+                try_compile_artifact_with_context(&spec, &context, &CompileOptions::ic(), &mut rng)
+                    .expect("melbourne fits every instance");
+            let vic = try_compile_artifact_with_context(
                 &spec,
-                &topo,
-                Some(&cal_compile),
-                &CompileOptions::ic(),
-                &mut rng,
-            );
-            let vic = compile(
-                &spec,
-                &topo,
-                Some(&cal_compile),
+                &context,
                 &CompileOptions::vic(),
                 &mut rng,
-            );
+            )
+            .expect("melbourne fits every instance");
+            let (ic, vic) = (ic.template(), vic.template());
             // Evaluate under the *execution-day* calibration.
             sp_ic.push(ic.success_probability(&cal_execute));
             sp_vic.push(vic.success_probability(&cal_execute));

@@ -60,7 +60,8 @@ fn main() {
             let mut gates = vec![Vec::new(); strategies.len()];
             let mut times = vec![Vec::new(); strategies.len()];
             for (ji, result) in compiled.into_iter().enumerate() {
-                let c = result.expect("figure workloads compile");
+                let artifact = result.expect("figure workloads compile");
+                let c = artifact.template();
                 let si = ji % strategies.len();
                 depths[si].push(c.depth() as f64);
                 gates[si].push(c.gate_count() as f64);

@@ -15,8 +15,8 @@
 use bench::cli::Cli;
 use bench::stats::mean;
 use bench::workloads::{instances, Family};
-use qcompile::{compile, CompileOptions};
-use qhw::Calibration;
+use qcompile::{try_compile_artifact_with_context, CompileOptions};
+use qhw::{Calibration, HardwareContext};
 use qsim::{NoiseModel, SimOptions, StateVector, TrajectorySimulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,6 +31,7 @@ fn main() {
         Err(_) => SimOptions::default(),
     };
     let sim = TrajectorySimulator::with_options(NoiseModel::new(cal.clone()), options);
+    let context = HardwareContext::shared(&topo, Some(&cal));
 
     println!(
         "=== Figure 10: VIC vs IC success probability ({}, {count} instances/bar) ===",
@@ -60,7 +61,10 @@ fn main() {
                     .enumerate()
                 {
                     let mut rng = StdRng::seed_from_u64(10_100 + gi as u64);
-                    let c = compile(&spec, &topo, Some(&cal), options, &mut rng);
+                    let artifact =
+                        try_compile_artifact_with_context(&spec, &context, options, &mut rng)
+                            .expect("melbourne fits every instance");
+                    let c = artifact.template();
                     sp[si].push(c.success_probability(&cal));
                     if trajectories > 0 {
                         let ideal = StateVector::from_circuit_with(c.physical(), sim.options());

@@ -15,8 +15,8 @@ use bench::cli::Cli;
 use bench::stats::{mean, row};
 use bench::workloads::{instances, Family};
 use qaoa::{approximation_ratio_from_counts, approximation_ratio_gap, qaoa_circuit, MaxCut};
-use qcompile::{compile, CompileOptions, QaoaSpec};
-use qhw::Calibration;
+use qcompile::{try_compile_artifact_with_context, CompileOptions, QaoaSpec};
+use qhw::{Calibration, HardwareContext};
 use qsim::{NoiseModel, Sampler, StateVector, TrajectorySimulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,6 +28,7 @@ fn main() {
     let trajectories = cli.pos_u32(2, 64);
     let (topo, cal) = Calibration::melbourne_2020_04_08();
     let sim = TrajectorySimulator::new(NoiseModel::new(cal.clone()));
+    let context = HardwareContext::shared(&topo, Some(&cal));
 
     let strategies = [
         ("QAIM", CompileOptions::qaim_only()),
@@ -65,7 +66,10 @@ fn main() {
 
             for (si, (_, options)) in strategies.iter().enumerate() {
                 let mut c_rng = StdRng::seed_from_u64(41_000 + gi as u64);
-                let compiled = compile(&spec, &topo, Some(&cal), options, &mut c_rng);
+                let artifact =
+                    try_compile_artifact_with_context(&spec, &context, options, &mut c_rng)
+                        .expect("melbourne fits every instance");
+                let compiled = artifact.template();
                 // "Hardware" run: trajectory-noise sampling of the routed
                 // circuit, costs evaluated on logical bits via the final
                 // layout.

@@ -61,7 +61,10 @@ fn main() {
             let mut gates = Vec::new();
             let mut times = Vec::new();
             for result in &compiled[li * count..(li + 1) * count] {
-                let c = result.as_ref().expect("figure workloads compile");
+                let c = result
+                    .as_ref()
+                    .expect("figure workloads compile")
+                    .template();
                 depths.push(c.depth() as f64);
                 gates.push(c.gate_count() as f64);
                 times.push(c.elapsed().as_secs_f64());

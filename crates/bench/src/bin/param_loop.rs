@@ -5,7 +5,7 @@
 //! iteration must produce a hardware-compliant circuit at fresh `(γ, β)`
 //! values. The *recompile* path rebuilds and recompiles the bound
 //! program at each parameter point; the *rebind* path compiles the
-//! parametric program once ([`qcompile::compile_artifact`]) and
+//! parametric program once ([`qcompile::try_compile_artifact_with_context`]) and
 //! substitutes values per iteration ([`qcompile::CompiledArtifact::bind`]).
 //! Both paths must produce bit-identical physical circuits — asserted
 //! per iteration — and the rebind path must be at least
@@ -27,9 +27,7 @@ use bench::cli::Cli;
 use bench::report::Report;
 use bench::workloads::{instances, Family};
 use qaoa::{MaxCut, QaoaParams};
-use qcompile::{
-    try_compile_artifact_with_context, try_compile_with_context, CompileOptions, QaoaSpec,
-};
+use qcompile::{try_compile_artifact_with_context, CompileOptions, QaoaSpec};
 use qhw::{HardwareContext, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -119,7 +117,7 @@ fn main() {
 
                 // One untimed warmup of each path so quick-mode means are
                 // not dominated by first-touch allocator and cache costs.
-                let _ = try_compile_with_context(
+                let _ = try_compile_artifact_with_context(
                     &QaoaSpec::from_maxcut(&problem, &trajectory(0, p), true),
                     &context,
                     &options,
@@ -134,7 +132,7 @@ fn main() {
                         let params = trajectory(i, p);
                         let start = Instant::now();
                         let bound_spec = QaoaSpec::from_maxcut(&problem, &params, true);
-                        let compiled = try_compile_with_context(
+                        let compiled = try_compile_artifact_with_context(
                             &bound_spec,
                             &context,
                             &options,
@@ -152,6 +150,7 @@ fn main() {
                 // iteration that simulates and discards the circuit; only
                 // the bind itself is timed.
                 for (i, rc) in recompiled.iter().enumerate() {
+                    let rc = rc.template();
                     let values = trajectory(i, p).to_values();
                     let start = Instant::now();
                     let rebound = artifact

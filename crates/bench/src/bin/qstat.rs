@@ -105,15 +105,16 @@ fn main() -> ExitCode {
             std::process::exit(2);
         }
     };
-    let tallies = args.journal.as_ref().map(|path| {
-        match journal_tallies(&read(path), args.tenant) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("qstat: {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        }
-    });
+    let tallies =
+        args.journal
+            .as_ref()
+            .map(|path| match journal_tallies(&read(path), args.tenant) {
+                Ok(t) => t,
+                Err(e) => {
+                    eprintln!("qstat: {}: {e}", path.display());
+                    std::process::exit(2);
+                }
+            });
     let dash = dashboard(&manifest);
     print!("{}", render(&dash, tallies.as_ref(), args.tenant, args.top));
     ExitCode::SUCCESS

@@ -106,7 +106,10 @@ fn main() {
     println!(
         "{:<28} {:>12}",
         "lifecycle records",
-        format!("{} ({} terminal)", ops.lifecycle_records, ops.lifecycle_terminals)
+        format!(
+            "{} ({} terminal)",
+            ops.lifecycle_records, ops.lifecycle_terminals
+        )
     );
     println!(
         "{:<28} {:>12}",

@@ -97,7 +97,10 @@ fn main() {
     println!(
         "{:<26} {:>12}",
         "lifecycle records",
-        format!("{} ({} terminal)", out.lifecycle_records, out.lifecycle_terminals)
+        format!(
+            "{} ({} terminal)",
+            out.lifecycle_records, out.lifecycle_terminals
+        )
     );
     println!("{:<26} {:>12}", "journal events", journal_lines);
 
@@ -149,7 +152,9 @@ fn main() {
     );
     assert_eq!(out.lifecycle_dropped, 0, "lifecycle capacity overflowed");
     assert!(
-        out.journal.lines().any(|l| l.contains("calibration_reload")),
+        out.journal
+            .lines()
+            .any(|l| l.contains("calibration_reload")),
         "journal must record the mid-run calibration reload"
     );
 

@@ -2,9 +2,10 @@
 //! evaluation (§V). See DESIGN.md for the experiment index.
 //!
 //! Each `fig*` binary in `src/bin/` prints the rows/series of one paper
-//! artifact; the Criterion benches in `benches/` cover the
-//! compilation-time claims. The helpers here keep workload generation and
-//! statistics consistent across all of them.
+//! artifact and writes its `BENCH_<figure>.json` report; `regress` diffs
+//! such reports against the committed baselines in `results/`, and
+//! `baseline` regenerates those. The helpers here keep workload
+//! generation and statistics consistent across all of them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -189,8 +189,7 @@ pub fn journal_tallies(
         if line.trim().is_empty() {
             continue;
         }
-        let json =
-            Json::parse(line).map_err(|e| format!("journal line {}: {e}", idx + 1))?;
+        let json = Json::parse(line).map_err(|e| format!("journal line {}: {e}", idx + 1))?;
         let event = json
             .get("event")
             .and_then(Json::as_str)
@@ -235,7 +234,11 @@ fn render_tenant(out: &mut String, id: u32, stat: &TenantStat) {
         .unwrap_or_else(|| "-".to_owned());
     out.push_str(&format!(
         "  {:<14} {:<10} hits {:<8} misses {:<8} hit ratio {}\n",
-        "requests", requests, stat.counter("hits"), stat.counter("misses"), ratio,
+        "requests",
+        requests,
+        stat.counter("hits"),
+        stat.counter("misses"),
+        ratio,
     ));
     let terminals: Vec<String> = COUNTER_ORDER[3..]
         .iter()

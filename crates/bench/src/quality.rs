@@ -64,7 +64,8 @@ pub fn run() -> Report {
 
         let mut cells = vec![(Vec::new(), Vec::new(), Vec::new()); strategies.len()];
         for (ji, result) in compiled.into_iter().enumerate() {
-            let c = result.expect("quality workloads compile");
+            let artifact = result.expect("quality workloads compile");
+            let c = artifact.template();
             let cell = &mut cells[ji % strategies.len()];
             cell.0.push(c.depth() as f64);
             cell.1.push(c.gate_count() as f64);

@@ -285,7 +285,11 @@ pub fn manifest_series(manifest: &qtrace::Manifest) -> SeriesSet {
         // is deterministic (and gates), their mean is machine speed
         // (and must not) — mirroring `Manifest::normalized`, which
         // zeroes their contents but keeps the count.
-        put(format!("hist/{name}/mean"), hist.mean(), !name.ends_with("_ns"));
+        put(
+            format!("hist/{name}/mean"),
+            hist.mean(),
+            !name.ends_with("_ns"),
+        );
     }
     for (path, stat) in &manifest.spans {
         put(format!("span/{path}/count"), stat.count as f64, true);

@@ -71,13 +71,17 @@ impl Report {
         Ok(path)
     }
 
-    /// [`Report::save`], reporting the outcome on stdout instead of
-    /// propagating errors — figure tables stay useful on read-only
-    /// filesystems.
+    /// [`Report::save`], announcing the written path on stdout. A report
+    /// that cannot be written exits the process with status 2, as
+    /// `baseline` and `regress` do on I/O errors, so a driver never
+    /// reports success without its output.
     pub fn save_and_announce(&self) {
         match self.save() {
             Ok(path) => println!("\n[wrote {}]", path.display()),
-            Err(e) => println!("\n[could not write BENCH_{}.json: {e}]", self.figure),
+            Err(e) => {
+                eprintln!("could not write BENCH_{}.json: {e}", self.figure);
+                std::process::exit(2);
+            }
         }
     }
 }
@@ -86,8 +90,8 @@ impl Report {
 /// repo's `results/` directory when it exists (so driver output sits next
 /// to the committed baselines); otherwise the current directory.
 ///
-/// Every producer (`fig*` drivers, `sim_throughput`, the `baseline` bin)
-/// resolves its output through this single rule.
+/// Every producer (the report-writing bins and `baseline`) resolves its
+/// output through this single rule.
 pub fn out_dir() -> PathBuf {
     if let Some(dir) = std::env::var_os("BENCH_OUT_DIR") {
         return PathBuf::from(dir);

@@ -2,10 +2,10 @@
 //! noisy-density hot paths every fidelity number in the paper flows
 //! through.
 //!
-//! This lives in the library (rather than only in the
-//! `benches/sim_throughput.rs` harness) so the `baseline` binary can
-//! regenerate the committed baselines from the same code. Two
-//! configurations exist:
+//! The `baseline` binary runs these workloads (`baseline sim` /
+//! `baseline sim_quick`), both to regenerate the committed baselines and
+//! as the CI measurement the `regress` gate diffs. Two configurations
+//! exist:
 //!
 //! * **full** (`figure = "sim"`) — the paper-scale sizes, matching the
 //!   committed `results/BENCH_sim_baseline.json` labels;
@@ -33,8 +33,8 @@ use crate::stats::{mean, std_dev};
 use crate::workloads::{instances, Family};
 use qaoa::{qaoa_circuit, MaxCut, QaoaParams};
 use qcircuit::Circuit;
-use qcompile::{compile, CompileOptions};
-use qhw::{Calibration, Topology};
+use qcompile::{try_compile_artifact_with_context, CompileOptions};
+use qhw::{Calibration, HardwareContext, Topology};
 use qsim::{NoiseModel, StateVector, TrajectorySimulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,9 +95,12 @@ fn density_workload(nodes: usize) -> (Circuit, NoiseModel) {
     let g = instances(Family::ErdosRenyi(0.5), nodes, 1, 10_001).remove(0);
     let spec = crate::compilation_spec(g, false);
     let mut rng = StdRng::seed_from_u64(77);
-    let compiled = compile(&spec, &topo, Some(&cal), &CompileOptions::vic(), &mut rng);
+    let context = HardwareContext::shared(&topo, Some(&cal));
+    let artifact =
+        try_compile_artifact_with_context(&spec, &context, &CompileOptions::vic(), &mut rng)
+            .expect("linear device fits the instance");
     let model = NoiseModel::new(cal).with_idle_error(1e-3);
-    (compiled.physical().clone(), model)
+    (artifact.template().physical().clone(), model)
 }
 
 /// An IC-compiled instance on melbourne for the trajectory sampler.
@@ -106,9 +109,12 @@ fn trajectory_workload(nodes: usize) -> (Circuit, TrajectorySimulator) {
     let g = instances(Family::ErdosRenyi(0.5), nodes, 1, 11_201).remove(0);
     let spec = crate::compilation_spec(g, true);
     let mut rng = StdRng::seed_from_u64(78);
-    let compiled = compile(&spec, &topo, Some(&cal), &CompileOptions::ic(), &mut rng);
+    let context = HardwareContext::shared(&topo, Some(&cal));
+    let artifact =
+        try_compile_artifact_with_context(&spec, &context, &CompileOptions::ic(), &mut rng)
+            .expect("melbourne fits the instance");
     let sim = TrajectorySimulator::new(NoiseModel::new(cal));
-    (compiled.physical().clone(), sim)
+    (artifact.template().physical().clone(), sim)
 }
 
 /// Times `samples` runs of `f` (after one warmup), returning per-run ms.

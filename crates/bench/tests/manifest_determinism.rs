@@ -8,7 +8,7 @@
 //! recorder, so a second concurrent test in this binary would interleave
 //! events.
 
-use qcompile::{compile, CompileOptions};
+use qcompile::{try_compile_artifact_with_context, CompileOptions};
 use qhw::{HardwareContext, Topology};
 use qsim::StateVector;
 use rand::rngs::StdRng;
@@ -23,14 +23,10 @@ fn instrumented_run() -> qtrace::Manifest {
     let g = bench::workloads::instances(bench::workloads::Family::Regular(3), 12, 1, 501).remove(0);
     let spec = bench::compilation_spec(g, false);
     let mut rng = StdRng::seed_from_u64(42);
-    let compiled = compile(
-        &spec,
-        context.topology(),
-        None,
-        &CompileOptions::ic(),
-        &mut rng,
-    );
-    let state = StateVector::from_circuit(compiled.physical());
+    let artifact =
+        try_compile_artifact_with_context(&spec, &context, &CompileOptions::ic(), &mut rng)
+            .unwrap();
+    let state = StateVector::from_circuit(artifact.template().physical());
     assert!(state.norm_sqr() > 0.99, "simulation sanity check");
     qtrace::take("determinism_test")
 }

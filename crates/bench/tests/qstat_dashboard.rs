@@ -37,8 +37,8 @@ fn committed_serve_load_baselines_render_a_per_tenant_dashboard() {
     );
     assert!(!dash.specs.is_empty(), "hot-spec table must be populated");
 
-    let tallies = journal_tallies(&read("serve_load.journal.jsonl"), None)
-        .expect("committed journal parses");
+    let tallies =
+        journal_tallies(&read("serve_load.journal.jsonl"), None).expect("committed journal parses");
     assert!(
         tallies.contains_key("calibration_reload"),
         "journal must carry the mid-run reload: {tallies:?}"

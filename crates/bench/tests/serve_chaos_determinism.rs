@@ -49,13 +49,18 @@ fn chaos_manifest_is_invariant_across_worker_counts() {
     assert!(base_out.spill_recovered > 0 && base_out.spill_corrupt > 0);
     assert_eq!(base_out.stale_vic_hits, 0);
     assert!(
-        base_journal.lines().any(|l| l.contains("\"event\":\"quarantine_add\"")),
+        base_journal
+            .lines()
+            .any(|l| l.contains("\"event\":\"quarantine_add\"")),
         "journal missed the fault storm"
     );
     for workers in [2usize, 8] {
         let (json, out, journal) = campaign(workers);
         assert_eq!(out, base_out, "outcome diverged at workers={workers}");
         assert_eq!(json, base_json, "manifest diverged at workers={workers}");
-        assert_eq!(journal, base_journal, "journal diverged at workers={workers}");
+        assert_eq!(
+            journal, base_journal,
+            "journal diverged at workers={workers}"
+        );
     }
 }

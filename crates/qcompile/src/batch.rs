@@ -16,8 +16,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::error::CompileError;
-use crate::pipeline::{try_compile_with_context, CompileOptions, CompiledCircuit};
-use crate::QaoaSpec;
+use crate::pipeline::{try_compile_artifact_with_context, CompileOptions};
+use crate::{CompiledArtifact, QaoaSpec};
 
 /// Odd multiplier mixed into retry seeds so each attempt gets an
 /// independent RNG stream while staying a pure function of `(seed,
@@ -63,13 +63,13 @@ fn attempt_job(
     job: &BatchJob,
     options: &CompileOptions,
     seed: u64,
-) -> Result<CompiledCircuit, CompileError> {
+) -> Result<CompiledArtifact, CompileError> {
     // `AssertUnwindSafe`: everything captured is either freshly built per
     // attempt (the RNG) or immutable shared state (`context`, `job`), so
     // no observable broken invariant can leak past the boundary.
     catch_unwind(AssertUnwindSafe(|| {
         let mut rng = StdRng::seed_from_u64(seed);
-        try_compile_with_context(&job.spec, context, options, &mut rng)
+        try_compile_artifact_with_context(&job.spec, context, options, &mut rng)
     }))
     .unwrap_or_else(|payload| {
         let msg = payload
@@ -89,7 +89,7 @@ fn attempt_job(
 /// options, then up to `max_retries` extra attempts with the degradation
 /// ladder forced on and a derived (but deterministic) seed. Every path is
 /// a pure function of the job alone, so scheduling cannot change results.
-fn run_job(context: &HardwareContext, job: &BatchJob) -> Result<CompiledCircuit, CompileError> {
+fn run_job(context: &HardwareContext, job: &BatchJob) -> Result<CompiledArtifact, CompileError> {
     let mut result = attempt_job(context, job, &job.options, job.seed);
     let retries = job.options.resilience.max_retries;
     for attempt in 1..=u64::from(retries) {
@@ -112,19 +112,19 @@ fn run_job(context: &HardwareContext, job: &BatchJob) -> Result<CompiledCircuit,
 /// Compiles every job against the shared `context` on `workers` threads.
 ///
 /// Results are in job order, and each is exactly what a serial
-/// [`try_compile_with_context`] call with `StdRng::seed_from_u64(job.seed)`
-/// produces — worker count and scheduling cannot change any output (the
-/// `batch_determinism` property test pins this). Failures are returned
-/// per-job; one bad job does not poison the batch. A job that *panics* is
-/// caught at the batch boundary and reported as
-/// [`CompileError::Internal`], and jobs whose options allow retries
-/// ([`crate::Resilience::max_retries`]) are deterministically re-attempted
-/// with the degradation ladder forced on.
+/// [`try_compile_artifact_with_context`] call with
+/// `StdRng::seed_from_u64(job.seed)` produces — worker count and
+/// scheduling cannot change any output (the `batch_determinism` property
+/// test pins this). Failures are returned per-job; one bad job does not
+/// poison the batch. A job that *panics* is caught at the batch boundary
+/// and reported as [`CompileError::Internal`], and jobs whose options
+/// allow retries ([`crate::Resilience::max_retries`]) are
+/// deterministically re-attempted with the degradation ladder forced on.
 pub fn compile_batch(
     context: &HardwareContext,
     jobs: &[BatchJob],
     workers: usize,
-) -> Vec<Result<CompiledCircuit, CompileError>> {
+) -> Vec<Result<CompiledArtifact, CompileError>> {
     let workers = workers.max(1).min(jobs.len().max(1));
     let q = qtrace::global();
     // Records on drop, covering both the serial and threaded exits.
@@ -157,7 +157,7 @@ pub fn compile_batch(
         }
     });
     drop(tx);
-    let mut slots: Vec<Option<Result<CompiledCircuit, CompileError>>> =
+    let mut slots: Vec<Option<Result<CompiledArtifact, CompileError>>> =
         (0..jobs.len()).map(|_| None).collect();
     for (i, result) in rx {
         slots[i] = Some(result);
@@ -196,8 +196,9 @@ mod tests {
         for (job, got) in jobs.iter().zip(&parallel) {
             let mut rng = StdRng::seed_from_u64(job.seed);
             let want =
-                try_compile_with_context(&job.spec, &context, &job.options, &mut rng).unwrap();
-            let got = got.as_ref().unwrap();
+                try_compile_artifact_with_context(&job.spec, &context, &job.options, &mut rng)
+                    .unwrap();
+            let (got, want) = (got.as_ref().unwrap().template(), want.template());
             assert_eq!(got.physical(), want.physical());
             assert_eq!(got.basis_circuit(), want.basis_circuit());
             assert_eq!(got.final_layout(), want.final_layout());
@@ -265,7 +266,7 @@ mod tests {
         let job = BatchJob::new(ring_spec(6), CompileOptions::vic().with_retries(1), 42);
         let no_retry = BatchJob::new(ring_spec(6), CompileOptions::vic(), 42);
         let results = compile_batch(&context, &[job.clone(), no_retry], 2);
-        let recovered = results[0].as_ref().unwrap();
+        let recovered = results[0].as_ref().unwrap().template();
         assert!(recovered.trace().degraded());
         assert_eq!(
             results[1].as_ref().unwrap_err(),
@@ -274,7 +275,7 @@ mod tests {
         // Retried results are a pure function of the job: serial and
         // parallel agree bit-for-bit.
         let serial = compile_batch(&context, &[job], 1);
-        let s = serial[0].as_ref().unwrap();
+        let s = serial[0].as_ref().unwrap().template();
         assert_eq!(s.physical(), recovered.physical());
         assert_eq!(s.final_layout(), recovered.final_layout());
     }

@@ -6,11 +6,9 @@ use qroute::RouteError;
 
 /// Why the pipeline could not produce a [`crate::CompiledCircuit`].
 ///
-/// The fallible entry points ([`crate::try_compile`],
-/// [`crate::try_compile_with_context`], [`crate::compile_batch`]) return
-/// these instead of panicking, so failures cross thread and API boundaries
-/// as values. The legacy [`crate::compile`] wrapper converts them back
-/// into panics with the same messages the pre-refactor asserts produced.
+/// The compile entry point ([`crate::try_compile_artifact_with_context`])
+/// and [`crate::compile_batch`] return these instead of panicking, so
+/// failures cross thread and API boundaries as values.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
     /// The program needs more logical qubits than the topology provides.

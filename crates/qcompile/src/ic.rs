@@ -24,7 +24,7 @@ use rand::Rng;
 use crate::error::CompileError;
 use crate::{CphaseOp, QaoaSpec};
 
-/// Output of [`compile_incremental`].
+/// Output of [`try_compile_incremental_with`].
 #[derive(Debug, Clone)]
 pub struct IncrementalResult {
     /// The stitched hardware-compliant circuit.
@@ -52,67 +52,6 @@ pub struct LayerRecord {
     pub swaps: usize,
     /// Depth of the routed partial circuit for this layer.
     pub routed_depth: usize,
-}
-
-/// Compiles a QAOA program incrementally (IC when `metric` is
-/// [`RoutingMetric::hops`], VIC when it is [`RoutingMetric::reliability`]).
-///
-/// `packing_limit` caps the gates per formed layer (§V-H); ties in the
-/// distance sort break randomly via `rng`, as in the paper.
-///
-/// # Panics
-///
-/// Panics if the program does not fit the topology or `packing_limit` is
-/// `Some(0)`.
-pub fn compile_incremental<R: Rng + ?Sized>(
-    spec: &QaoaSpec,
-    topology: &Topology,
-    initial_layout: Layout,
-    metric: &RoutingMetric,
-    packing_limit: Option<usize>,
-    rng: &mut R,
-) -> IncrementalResult {
-    compile_incremental_with(
-        spec,
-        topology,
-        initial_layout,
-        metric,
-        packing_limit,
-        true,
-        rng,
-    )
-}
-
-/// [`compile_incremental`] with an ablation switch: when `resort` is
-/// false, the remaining-gate list is shuffled but **not** re-sorted by
-/// current distance before each layer, removing IC's exploitation of "the
-/// dynamic changes in logical-to-physical qubit mapping" (§IV-C). The
-/// `ablation_ic` binary quantifies what the re-sorting buys.
-///
-/// # Panics
-///
-/// Same as [`compile_incremental`].
-pub fn compile_incremental_with<R: Rng + ?Sized>(
-    spec: &QaoaSpec,
-    topology: &Topology,
-    initial_layout: Layout,
-    metric: &RoutingMetric,
-    packing_limit: Option<usize>,
-    resort: bool,
-    rng: &mut R,
-) -> IncrementalResult {
-    match try_compile_incremental_with(
-        spec,
-        topology,
-        initial_layout,
-        metric,
-        packing_limit,
-        resort,
-        rng,
-    ) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 /// A CPHASE op with its cached current physical distance — the sort key
@@ -240,9 +179,18 @@ fn stitch_reserve(spec: &QaoaSpec) -> usize {
     n + cphase + field + spec.levels().len() * n + measures + 4 * cphase + 64
 }
 
-/// Fallible form of [`compile_incremental_with`]: returns a structured
-/// [`CompileError`] instead of panicking, so incremental compilation can
-/// cross thread and API boundaries (the batch driver relies on this).
+/// Compiles a QAOA program incrementally (IC when `metric` is
+/// [`RoutingMetric::hops`], VIC when it is [`RoutingMetric::reliability`]).
+///
+/// `packing_limit` caps the gates per formed layer (§V-H); ties in the
+/// distance sort break randomly via `rng`, as in the paper. With `resort`
+/// false the remaining-gate list is shuffled but **not** re-sorted by
+/// current distance before each layer, removing IC's exploitation of "the
+/// dynamic changes in logical-to-physical qubit mapping" (§IV-C); the
+/// `ablation_ic` binary quantifies what the re-sorting buys. Failures
+/// (a zero `packing_limit`, a program that does not fit the topology) are
+/// structured [`CompileError`]s, so incremental compilation can cross
+/// thread and API boundaries.
 ///
 /// This is the allocation-disciplined engine: op lists, occupancy bitsets
 /// and the per-layer partial circuit live in thread-local scratch; routed
@@ -434,6 +382,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// IC/VIC with re-sorting on, as the pipeline runs it.
+    fn run_ic(
+        spec: &QaoaSpec,
+        topo: &Topology,
+        layout: Layout,
+        metric: &RoutingMetric,
+        limit: Option<usize>,
+        rng: &mut StdRng,
+    ) -> IncrementalResult {
+        try_compile_incremental_with(spec, topo, layout, metric, limit, true, rng).unwrap()
+    }
+
     /// The Figure 3(c)/Example 3 program with the Example 1 mapping
     /// {q0→7, q1→12, q2→13, q3→2, q4→8}.
     fn fig5_setup() -> (QaoaSpec, Topology, Layout) {
@@ -460,7 +420,7 @@ mod tests {
         let mut best_swaps = usize::MAX;
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let r = compile_incremental(&spec, &topo, layout.clone(), &metric, None, &mut rng);
+            let r = run_ic(&spec, &topo, layout.clone(), &metric, None, &mut rng);
             assert!(satisfies_coupling(&r.circuit, &topo));
             assert!(r.cphase_layers >= 4);
             best_layers = best_layers.min(r.cphase_layers);
@@ -478,7 +438,7 @@ mod tests {
         let (spec, topo, layout) = fig5_setup();
         let metric = RoutingMetric::hops(&topo);
         let mut rng = StdRng::seed_from_u64(3);
-        let r = compile_incremental(&spec, &topo, layout.clone(), &metric, None, &mut rng);
+        let r = run_ic(&spec, &topo, layout.clone(), &metric, None, &mut rng);
 
         // Reference: the same program compiled trivially (H wall, ops in
         // spec order, mixer), simulated on logical qubits; compare via the
@@ -520,9 +480,8 @@ mod tests {
             let spec = QaoaSpec::from_maxcut(&problem, &qaoa::QaoaParams::p1(0.4, 0.3), true);
             let layout = crate::mapping::qaim(&spec, &topo);
             let mut rng = StdRng::seed_from_u64(900 + seed);
-            let ric = compile_incremental(&spec, &topo, layout.clone(), &ic_metric, None, &mut rng);
-            let rvic =
-                compile_incremental(&spec, &topo, layout.clone(), &vic_metric, None, &mut rng);
+            let ric = run_ic(&spec, &topo, layout.clone(), &ic_metric, None, &mut rng);
+            let rvic = run_ic(&spec, &topo, layout.clone(), &vic_metric, None, &mut rng);
             sp_ic += qroute::success_probability(&ric.circuit, &cal);
             sp_vic += qroute::success_probability(&rvic.circuit, &cal);
         }
@@ -539,7 +498,7 @@ mod tests {
         let (spec, topo, layout) = fig5_setup();
         let metric = RoutingMetric::hops(&topo);
         let mut rng = StdRng::seed_from_u64(1);
-        let limited = compile_incremental(&spec, &topo, layout.clone(), &metric, Some(1), &mut rng);
+        let limited = run_ic(&spec, &topo, layout.clone(), &metric, Some(1), &mut rng);
         // 7 ops, one per layer.
         assert_eq!(limited.cphase_layers, 7);
         assert!(satisfies_coupling(&limited.circuit, &topo));
@@ -554,7 +513,7 @@ mod tests {
         let layout = crate::mapping::qaim(&spec, &topo);
         let mut rng = StdRng::seed_from_u64(7);
         let metric = RoutingMetric::hops(&topo);
-        let r = compile_incremental(&spec, &topo, layout, &metric, None, &mut rng);
+        let r = run_ic(&spec, &topo, layout, &metric, None, &mut rng);
         assert_eq!(r.circuit.count_gate("rzz"), 10);
         assert_eq!(r.circuit.count_gate("rx"), 10);
         assert_eq!(r.circuit.count_gate("h"), 5);
@@ -563,12 +522,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn zero_packing_limit_panics() {
+    fn zero_packing_limit_errors_structurally() {
         let (spec, topo, layout) = fig5_setup();
         let metric = RoutingMetric::hops(&topo);
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = compile_incremental(&spec, &topo, layout, &metric, Some(0), &mut rng);
+        let result =
+            try_compile_incremental_with(&spec, &topo, layout, &metric, Some(0), true, &mut rng);
+        assert!(matches!(result, Err(CompileError::ZeroPackingLimit)));
     }
 
     #[test]
@@ -585,7 +545,7 @@ mod tests {
             let problem = qaoa::MaxCut::without_optimum(g);
             let spec = QaoaSpec::from_maxcut(&problem, &qaoa::QaoaParams::p1(0.4, 0.3), true);
             let layout = crate::mapping::qaim(&spec, &topo);
-            let r = compile_incremental(&spec, &topo, layout, &metric, None, &mut rng);
+            let r = run_ic(&spec, &topo, layout, &metric, None, &mut rng);
             assert_eq!(
                 r.circuit.capacity(),
                 super::stitch_reserve(&spec),

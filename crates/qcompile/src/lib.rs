@@ -16,26 +16,31 @@
 //! backend router → hardware-compliant circuit plus quality metrics.
 //! Stages are trait-based [`passes`] over a shared [`qhw::HardwareContext`]
 //! (distance matrices and profiles computed once per target), each run
-//! records a per-pass [`PassTrace`], fallible entry points return
-//! [`CompileError`] instead of panicking, and [`compile_batch`] fans jobs
-//! out across threads with bit-for-bit deterministic results.
+//! records a per-pass [`PassTrace`], the one entry point
+//! [`try_compile_artifact_with_context`] returns [`CompileError`] instead
+//! of panicking, and [`compile_batch`] fans it out across threads with
+//! bit-for-bit deterministic results.
 //!
 //! # Examples
 //!
 //! ```
 //! use qaoa::{MaxCut, QaoaParams};
-//! use qcompile::{compile, CompileOptions, Compilation, InitialMapping, QaoaSpec};
-//! use qhw::Topology;
+//! use qcompile::{
+//!     try_compile_artifact_with_context, Compilation, CompileOptions, InitialMapping, QaoaSpec,
+//! };
+//! use qhw::{HardwareContext, Topology};
 //! use rand::SeedableRng;
 //!
 //! let graph = qgraph::generators::cycle(6);
 //! let spec = QaoaSpec::from_maxcut(&MaxCut::new(graph), &QaoaParams::p1(0.5, 0.3), true);
 //! let topo = Topology::ibmq_20_tokyo();
+//! let context = HardwareContext::shared(&topo, None);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //!
 //! let options = CompileOptions::new(InitialMapping::Qaim, Compilation::IncrementalHops);
-//! let compiled = compile(&spec, &topo, None, &options, &mut rng);
-//! assert!(qroute::satisfies_coupling(compiled.physical(), &topo));
+//! let artifact = try_compile_artifact_with_context(&spec, &context, &options, &mut rng)?;
+//! assert!(qroute::satisfies_coupling(artifact.template().physical(), &topo));
+//! # Ok::<(), qcompile::CompileError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,10 +67,8 @@ pub use cancel::CancelToken;
 pub use error::CompileError;
 pub use explain::{Explain, ExplainLayer, ExplainPass, EXPLAIN_VERSION};
 pub use pipeline::{
-    compile, compile_artifact, try_compile, try_compile_artifact,
-    try_compile_artifact_with_context, try_compile_artifact_with_context_cancellable,
-    try_compile_with_context, try_compile_with_context_cancellable, Compilation, CompileOptions,
-    CompiledCircuit, InitialMapping, Resilience, FULL_VERIFY_MAX_QUBITS,
+    try_compile_artifact_with_context, try_compile_artifact_with_context_cancellable, Compilation,
+    CompileOptions, CompiledCircuit, InitialMapping, Resilience, FULL_VERIFY_MAX_QUBITS,
 };
 pub use program::{CompiledArtifact, CphaseOp, ProgramProfile, QaoaSpec};
 pub use trace::{FallbackReason, FallbackRecord, PassRecord, PassTrace};

@@ -7,8 +7,9 @@
 //! shared (by `Arc`) with every pass that needs them. The stages
 //! themselves are trait objects selected from [`CompileOptions`] — see
 //! [`crate::passes`]. Each run records a [`PassTrace`] of per-pass
-//! wall-clock time and swap/depth deltas, and the fallible entry points
-//! return [`CompileError`] values instead of panicking.
+//! wall-clock time and swap/depth deltas, and the one entry point,
+//! [`try_compile_artifact_with_context`], returns [`CompileError`] values
+//! instead of panicking.
 
 use std::fmt;
 use std::sync::Arc;
@@ -16,7 +17,7 @@ use std::time::Duration;
 
 use qcircuit::basis::{to_basis, BasisSet};
 use qcircuit::{Circuit, CircuitError, ParamValues};
-use qhw::{Calibration, HardwareContext, Topology};
+use qhw::{Calibration, HardwareContext};
 use qroute::{try_route, Layout, RoutingMetric};
 use rand::{Rng, RngCore};
 
@@ -358,25 +359,17 @@ impl CompiledCircuit {
     }
 
     /// Instructions carrying symbolic angles across the physical and
-    /// basis circuits — exactly what one [`CompiledCircuit::bind`] call
+    /// basis circuits — exactly what one [`CompiledArtifact::bind`] call
     /// substitutes (and reports as `qcompile/rebind_gates`). Zero for a
     /// bound circuit.
     pub fn parametric_gate_count(&self) -> usize {
         self.parametric_gates
     }
 
-    /// Substitutes `values` into every symbolic angle of the physical and
-    /// basis circuits, carrying layouts, SWAP count, pass trace and the
-    /// explain report over **verbatim** — no mapping, ordering or routing
-    /// work happens here, which is the whole point of compiling a
-    /// parametric spec once. Counted as one `qcompile/rebind` (plus the
-    /// substituted gate count under `qcompile/rebind_gates`) in qtrace.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::UnboundParameters`] when `values` does not cover
-    /// the circuits' parameters.
-    pub fn bind(&self, values: &ParamValues) -> Result<CompiledCircuit, CompileError> {
+    /// The substitution behind [`CompiledArtifact::bind`]: binds every
+    /// symbolic angle of the physical and basis circuits and carries
+    /// layouts, SWAP count, pass trace and explain report over verbatim.
+    pub(crate) fn bind(&self, values: &ParamValues) -> Result<CompiledCircuit, CompileError> {
         let map_err = |e: CircuitError| match e {
             CircuitError::ParamCountMismatch { expected, found } => {
                 CompileError::UnboundParameters { expected, found }
@@ -407,70 +400,39 @@ impl CompiledCircuit {
     }
 }
 
-/// Compiles a QAOA program for `topology` under `options`.
+/// Compiles a QAOA program against a prebuilt [`HardwareContext`] into a
+/// [`CompiledArtifact`] — the one compile entry point. The context's
+/// cached distance matrices and connectivity profile are shared across
+/// every pass, so no Floyd–Warshall or profiling recomputation happens
+/// during the run; callers holding only a topology resolve one through
+/// the process-wide [`HardwareContext::shared`] cache.
 ///
-/// `calibration` is required for [`Compilation::IncrementalReliability`]
-/// and otherwise unused.
-///
-/// Resolves the [`HardwareContext`] through the process-wide
-/// [`HardwareContext::shared`] cache, so repeated calls against the same
-/// `(topology, calibration epoch)` pair pay Floyd–Warshall once; hold a
-/// context yourself with [`try_compile_with_context`] (or use
-/// [`crate::compile_batch`]) to skip even the cache probe.
-///
-/// # Panics
-///
-/// Panics if VIC is requested without calibration, the program does not
-/// fit the topology, or `options.packing_limit` is `Some(0)`. Use
-/// [`try_compile`] to receive these as [`CompileError`] values instead.
-pub fn compile<R: Rng + ?Sized>(
-    spec: &QaoaSpec,
-    topology: &Topology,
-    calibration: Option<&Calibration>,
-    options: &CompileOptions,
-    rng: &mut R,
-) -> CompiledCircuit {
-    match try_compile(spec, topology, calibration, options, rng) {
-        Ok(compiled) => compiled,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`compile`]: structured errors instead of panics.
-pub fn try_compile<R: Rng + ?Sized>(
-    spec: &QaoaSpec,
-    topology: &Topology,
-    calibration: Option<&Calibration>,
-    options: &CompileOptions,
-    rng: &mut R,
-) -> Result<CompiledCircuit, CompileError> {
-    // The shared cache means repeated per-call compiles against the same
-    // (topology, calibration epoch) — retry loops, ladders, scripts that
-    // never build a context — pay Floyd–Warshall once, not per call.
-    let context = HardwareContext::shared(topology, calibration);
-    try_compile_with_context(spec, &context, options, rng)
-}
-
-/// Compiles against a prebuilt [`HardwareContext`], sharing its cached
-/// distance matrices and connectivity profile across every pass — no
-/// Floyd–Warshall or profiling recomputation happens during the run.
-///
-/// This is the core entry point; [`compile`]/[`try_compile`] wrap it, and
-/// [`crate::compile_batch`] fans it out across worker threads. When
+/// A bound spec's result is read through [`CompiledArtifact::template`];
+/// a parametric spec's artifact is compiled once and then
+/// [`CompiledArtifact::bind`]-ed per parameter point with zero
+/// mapping/ordering/routing work. [`crate::compile_batch`] fans this
+/// function out across worker threads. When
 /// `options.resilience.fallback` is set, failures degrade down the
 /// VIC → IC → NAIVE ladder (see [`Resilience`]) instead of erroring; a
 /// disconnected coupling graph is reported up front as
 /// [`CompileError::DisconnectedTopology`] on every configuration.
-pub fn try_compile_with_context<R: Rng + ?Sized>(
+///
+/// # Errors
+///
+/// Structured [`CompileError`]s, never panics: VIC without usable
+/// calibration, a program that does not fit the device, a zero
+/// `options.packing_limit` under IP/IC/VIC, exhausted budgets.
+pub fn try_compile_artifact_with_context<R: Rng + ?Sized>(
     spec: &QaoaSpec,
     context: &HardwareContext,
     options: &CompileOptions,
     rng: &mut R,
-) -> Result<CompiledCircuit, CompileError> {
-    try_compile_with_context_cancellable(spec, context, options, rng, CancelToken::never())
+) -> Result<CompiledArtifact, CompileError> {
+    try_compile_artifact_with_context_cancellable(spec, context, options, rng, CancelToken::never())
 }
 
-/// [`try_compile_with_context`] with a cooperative [`CancelToken`].
+/// [`try_compile_artifact_with_context`] with a cooperative
+/// [`CancelToken`].
 ///
 /// The pipeline polls `cancel` at every pass boundary (the same points
 /// the per-pass budgets are checked) and before each degradation-ladder
@@ -479,66 +441,6 @@ pub fn try_compile_with_context<R: Rng + ?Sized>(
 /// is how a serving layer bounds a wedged or slow compile: trip the
 /// token from the admission thread and the worker returns within one
 /// pass.
-pub fn try_compile_with_context_cancellable<R: Rng + ?Sized>(
-    spec: &QaoaSpec,
-    context: &HardwareContext,
-    options: &CompileOptions,
-    rng: &mut R,
-    cancel: &CancelToken,
-) -> Result<CompiledCircuit, CompileError> {
-    // Erase the caller's RNG type once so trait-object passes can share it.
-    let mut reborrow: &mut R = rng;
-    let rng: &mut dyn RngCore = &mut reborrow;
-    compile_with_ladder(spec, context, options, rng, cancel)
-}
-
-/// Compiles a (typically parametric) QAOA program into a reusable
-/// [`CompiledArtifact`]: compile once, then [`CompiledArtifact::bind`]
-/// per parameter point with zero mapping/ordering/routing work.
-///
-/// # Panics
-///
-/// Same conditions as [`compile`]; use [`try_compile_artifact`] for
-/// structured errors.
-pub fn compile_artifact<R: Rng + ?Sized>(
-    spec: &QaoaSpec,
-    topology: &Topology,
-    calibration: Option<&Calibration>,
-    options: &CompileOptions,
-    rng: &mut R,
-) -> CompiledArtifact {
-    match try_compile_artifact(spec, topology, calibration, options, rng) {
-        Ok(artifact) => artifact,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`compile_artifact`].
-pub fn try_compile_artifact<R: Rng + ?Sized>(
-    spec: &QaoaSpec,
-    topology: &Topology,
-    calibration: Option<&Calibration>,
-    options: &CompileOptions,
-    rng: &mut R,
-) -> Result<CompiledArtifact, CompileError> {
-    let context = HardwareContext::shared(topology, calibration);
-    try_compile_artifact_with_context(spec, &context, options, rng)
-}
-
-/// [`try_compile_artifact`] against a prebuilt [`HardwareContext`].
-pub fn try_compile_artifact_with_context<R: Rng + ?Sized>(
-    spec: &QaoaSpec,
-    context: &HardwareContext,
-    options: &CompileOptions,
-    rng: &mut R,
-) -> Result<CompiledArtifact, CompileError> {
-    let template = try_compile_with_context(spec, context, options, rng)?;
-    Ok(CompiledArtifact::new(template, spec.num_params()))
-}
-
-/// [`try_compile_artifact_with_context`] with a cooperative
-/// [`CancelToken`] — see
-/// [`try_compile_with_context_cancellable`] for the polling contract.
 pub fn try_compile_artifact_with_context_cancellable<R: Rng + ?Sized>(
     spec: &QaoaSpec,
     context: &HardwareContext,
@@ -546,7 +448,10 @@ pub fn try_compile_artifact_with_context_cancellable<R: Rng + ?Sized>(
     rng: &mut R,
     cancel: &CancelToken,
 ) -> Result<CompiledArtifact, CompileError> {
-    let template = try_compile_with_context_cancellable(spec, context, options, rng, cancel)?;
+    // Erase the caller's RNG type once so trait-object passes can share it.
+    let mut reborrow: &mut R = rng;
+    let rng: &mut dyn RngCore = &mut reborrow;
+    let template = compile_with_ladder(spec, context, options, rng, cancel)?;
     Ok(CompiledArtifact::new(template, spec.num_params()))
 }
 
@@ -737,6 +642,12 @@ fn compile_once(
 
     let (physical, final_layout, swap_count, layers) = match options.compilation.routing_stage() {
         RoutingStage::Full => {
+            // IP's bin packer cannot form a layer under a zero limit;
+            // report it as the incremental engine does. Random order
+            // ignores the limit, as in the paper.
+            if options.compilation == Compilation::Ip && options.packing_limit == Some(0) {
+                return Err(CompileError::ZeroPackingLimit);
+            }
             let ordering = options
                 .compilation
                 .ordering_pass()
@@ -921,9 +832,32 @@ where
 mod tests {
     use super::*;
     use qaoa::{MaxCut, QaoaParams};
+    use qhw::Topology;
     use qroute::satisfies_coupling;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The compiled template of one run against `context`.
+    fn compile_in(
+        spec: &QaoaSpec,
+        context: &HardwareContext,
+        options: &CompileOptions,
+        rng: &mut StdRng,
+    ) -> Result<CompiledCircuit, CompileError> {
+        try_compile_artifact_with_context(spec, context, options, rng).map(|a| a.template().clone())
+    }
+
+    /// Compiles through the shared context for `topo`, as a caller
+    /// holding only a topology does.
+    fn compile(
+        spec: &QaoaSpec,
+        topo: &Topology,
+        cal: Option<&Calibration>,
+        options: &CompileOptions,
+        rng: &mut StdRng,
+    ) -> CompiledCircuit {
+        compile_in(spec, &HardwareContext::shared(topo, cal), options, rng).unwrap()
+    }
 
     fn spec_20_node(seed: u64, p_edge: f64) -> QaoaSpec {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1048,35 +982,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn vic_without_calibration_panics() {
-        let spec = spec_20_node(1, 0.3);
-        let topo = Topology::ibmq_20_tokyo();
-        let mut rng = StdRng::seed_from_u64(2);
-        let _ = compile(&spec, &topo, None, &CompileOptions::vic(), &mut rng);
-    }
-
-    #[test]
     fn vic_without_calibration_errors_structurally() {
         let spec = spec_20_node(1, 0.3);
         let topo = Topology::ibmq_20_tokyo();
         let mut rng = StdRng::seed_from_u64(2);
-        let err = try_compile(&spec, &topo, None, &CompileOptions::vic(), &mut rng).unwrap_err();
+        let context = HardwareContext::shared(&topo, None);
+        let err = compile_in(&spec, &context, &CompileOptions::vic(), &mut rng).unwrap_err();
         assert_eq!(err, CompileError::MissingCalibration);
         let context = HardwareContext::new(topo);
-        let err = try_compile_with_context(&spec, &context, &CompileOptions::vic(), &mut rng)
-            .unwrap_err();
+        let err = compile_in(&spec, &context, &CompileOptions::vic(), &mut rng).unwrap_err();
         assert_eq!(err, CompileError::MissingCalibration);
     }
 
     #[test]
     fn zero_packing_limit_errors_structurally() {
+        // Every layer-forming configuration (IP, IC, VIC) rejects a zero
+        // limit with a structured, non-recoverable error — the ladder does
+        // not mask it — while random order ignores the limit.
         let spec = spec_20_node(1, 0.3);
         let topo = Topology::ibmq_20_tokyo();
-        let mut rng = StdRng::seed_from_u64(2);
-        let options = CompileOptions::ic().with_packing_limit(0);
-        let err = try_compile(&spec, &topo, None, &options, &mut rng).unwrap_err();
-        assert_eq!(err, CompileError::ZeroPackingLimit);
+        let cal = Calibration::uniform(&topo, 0.02, 0.001, 0.02);
+        let context = HardwareContext::with_calibration(topo.clone(), cal);
+        for options in [
+            CompileOptions::naive(),
+            CompileOptions::qaim_only(),
+            CompileOptions::ip(),
+            CompileOptions::ic(),
+            CompileOptions::vic(),
+        ] {
+            for options in [options, options.with_fallback()] {
+                let options = options.with_packing_limit(0);
+                let mut rng = StdRng::seed_from_u64(2);
+                let result = compile_in(&spec, &context, &options, &mut rng);
+                match options.compilation {
+                    Compilation::RandomOrder => assert!(result.is_ok(), "{options}"),
+                    _ => assert_eq!(result.unwrap_err(), CompileError::ZeroPackingLimit),
+                }
+            }
+        }
     }
 
     #[test]
@@ -1136,7 +1079,7 @@ mod tests {
             let mut rng_a = StdRng::seed_from_u64(77);
             let a = compile(&spec, &topo, Some(&cal), &options, &mut rng_a);
             let mut rng_b = StdRng::seed_from_u64(77);
-            let b = try_compile_with_context(&spec, &context, &options, &mut rng_b).unwrap();
+            let b = compile_in(&spec, &context, &options, &mut rng_b).unwrap();
             assert_eq!(a.physical(), b.physical(), "{options}");
             assert_eq!(a.basis_circuit(), b.basis_circuit());
             assert_eq!(a.initial_layout(), b.initial_layout());
@@ -1178,15 +1121,14 @@ mod tests {
 
         // Without the ladder the corruption is a structured hard error.
         let mut rng = StdRng::seed_from_u64(2);
-        let err = try_compile_with_context(&spec, &context, &CompileOptions::vic(), &mut rng)
-            .unwrap_err();
+        let err = compile_in(&spec, &context, &CompileOptions::vic(), &mut rng).unwrap_err();
         assert!(matches!(err, CompileError::UnusableCalibration(_)));
 
         // With it, VIC steps down to IC and still delivers a verified
         // circuit, with the step on the record.
         let mut rng = StdRng::seed_from_u64(2);
         let options = CompileOptions::vic().with_fallback();
-        let compiled = try_compile_with_context(&spec, &context, &options, &mut rng).unwrap();
+        let compiled = compile_in(&spec, &context, &options, &mut rng).unwrap();
         assert!(satisfies_coupling(compiled.physical(), &topo));
         assert!(compiled.trace().degraded());
         let steps = compiled.trace().fallbacks();
@@ -1205,7 +1147,7 @@ mod tests {
         let context = HardwareContext::new(topo);
         let mut rng = StdRng::seed_from_u64(2);
         let options = CompileOptions::vic().with_fallback();
-        let compiled = try_compile_with_context(&spec, &context, &options, &mut rng).unwrap();
+        let compiled = compile_in(&spec, &context, &options, &mut rng).unwrap();
         let steps = compiled.trace().fallbacks();
         assert_eq!(steps.len(), 1);
         assert_eq!(steps[0].reason, crate::FallbackReason::MissingCalibration);
@@ -1224,7 +1166,7 @@ mod tests {
             CompileOptions::ic().with_fallback(),
         ] {
             let mut rng = StdRng::seed_from_u64(2);
-            let err = try_compile_with_context(&spec, &context, &options, &mut rng).unwrap_err();
+            let err = compile_in(&spec, &context, &options, &mut rng).unwrap_err();
             match err {
                 CompileError::DisconnectedTopology { components } => assert!(components >= 2),
                 other => panic!("expected DisconnectedTopology, got {other:?}"),
@@ -1242,14 +1184,14 @@ mod tests {
         // nonzero time); without fallback it is a hard error...
         let strict = CompileOptions::ic().with_pass_budget(Duration::ZERO);
         let mut rng = StdRng::seed_from_u64(2);
-        let err = try_compile_with_context(&spec, &context, &strict, &mut rng).unwrap_err();
+        let err = compile_in(&spec, &context, &strict, &mut rng).unwrap_err();
         assert!(matches!(err, CompileError::BudgetExceeded { .. }));
 
         // ...with fallback the final rung is budget-exempt, so the run
         // still delivers a verified circuit and records the step.
         let mut rng = StdRng::seed_from_u64(2);
         let resilient = strict.with_fallback();
-        let compiled = try_compile_with_context(&spec, &context, &resilient, &mut rng).unwrap();
+        let compiled = compile_in(&spec, &context, &resilient, &mut rng).unwrap();
         assert!(satisfies_coupling(compiled.physical(), &topo));
         assert!(compiled.trace().degraded());
         assert_eq!(
@@ -1260,7 +1202,7 @@ mod tests {
         // A zero swap budget behaves the same way via the swap reason.
         let mut rng = StdRng::seed_from_u64(2);
         let swap_capped = CompileOptions::ic().with_swap_budget(0).with_fallback();
-        let compiled = try_compile_with_context(&spec, &context, &swap_capped, &mut rng).unwrap();
+        let compiled = compile_in(&spec, &context, &swap_capped, &mut rng).unwrap();
         if compiled.trace().degraded() {
             assert_eq!(
                 compiled.trace().fallbacks()[0].reason,
@@ -1277,7 +1219,7 @@ mod tests {
         let q = qtrace::global();
         q.enable();
         let mut rng = StdRng::seed_from_u64(2);
-        let compiled = try_compile_with_context(&spec, &context, &options, &mut rng).unwrap();
+        let compiled = compile_in(&spec, &context, &options, &mut rng).unwrap();
         q.disable();
         let manifest = q.take_manifest("pipeline-fallback-counters");
         assert!(compiled.trace().degraded());

@@ -397,8 +397,9 @@ impl QaoaSpec {
 /// the `qcompile/rebind` and `qcompile/rebind_gates` qtrace counters so
 /// the compile-vs-rebind economics show up in run manifests.
 ///
-/// Build one with [`crate::compile_artifact`] /
-/// [`crate::try_compile_artifact`].
+/// Build one with [`crate::try_compile_artifact_with_context`]; a bound
+/// spec's artifact is just its compiled circuit, read through
+/// [`CompiledArtifact::template`].
 #[derive(Debug, Clone)]
 pub struct CompiledArtifact {
     template: CompiledCircuit,
@@ -444,7 +445,10 @@ impl CompiledArtifact {
     /// Substitutes `values` into the template, returning a fully bound
     /// [`CompiledCircuit`] with **bit-identical** structure: same gate
     /// order, SWAP count, depth, layouts, pass trace and explain report
-    /// as the template — only the angles change.
+    /// as the template — only the angles change. No mapping, ordering or
+    /// routing work happens here, which is the whole point of compiling
+    /// a parametric spec once. Counted as one `qcompile/rebind` (plus the
+    /// substituted gate count under `qcompile/rebind_gates`) in qtrace.
     ///
     /// # Errors
     ///
@@ -452,12 +456,6 @@ impl CompiledArtifact {
     /// the template's parameters.
     pub fn bind(&self, values: &ParamValues) -> Result<CompiledCircuit, CompileError> {
         self.template.bind(values)
-    }
-
-    /// Alias of [`CompiledArtifact::bind`], named for the optimizer-loop
-    /// reading: `compile once, rebind every iteration`.
-    pub fn rebind(&self, values: &ParamValues) -> Result<CompiledCircuit, CompileError> {
-        self.bind(values)
     }
 }
 

@@ -6,7 +6,9 @@
 
 use proptest::prelude::*;
 use qaoa::{MaxCut, QaoaParams};
-use qcompile::{compile_batch, try_compile_with_context, BatchJob, CompileOptions, QaoaSpec};
+use qcompile::{
+    compile_batch, try_compile_artifact_with_context, BatchJob, CompileOptions, QaoaSpec,
+};
 use qhw::{Calibration, HardwareContext, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,9 +55,11 @@ proptest! {
         prop_assert_eq!(parallel.len(), jobs.len());
         for (job, got) in jobs.iter().zip(&parallel) {
             let mut rng = StdRng::seed_from_u64(job.seed);
-            let want = try_compile_with_context(&job.spec, &context, &job.options, &mut rng)
-                .expect("serial reference compile succeeds");
-            let got = got.as_ref().expect("batch compile succeeds");
+            let want =
+                try_compile_artifact_with_context(&job.spec, &context, &job.options, &mut rng)
+                    .expect("serial reference compile succeeds");
+            let want = want.template();
+            let got = got.as_ref().expect("batch compile succeeds").template();
             prop_assert_eq!(got.physical(), want.physical());
             prop_assert_eq!(got.basis_circuit(), want.basis_circuit());
             prop_assert_eq!(got.initial_layout(), want.initial_layout());
@@ -68,7 +72,7 @@ proptest! {
         // Two parallel runs with different worker counts also agree.
         let again = compile_batch(&context, &jobs, workers.saturating_sub(2).max(1));
         for (a, b) in parallel.iter().zip(&again) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            let (a, b) = (a.as_ref().unwrap().template(), b.as_ref().unwrap().template());
             prop_assert_eq!(a.physical(), b.physical());
             prop_assert_eq!(a.basis_circuit(), b.basis_circuit());
         }

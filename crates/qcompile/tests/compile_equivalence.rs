@@ -18,8 +18,8 @@
 use proptest::prelude::*;
 use qcompile::reference;
 use qcompile::{
-    compile_batch, ic, ip, mapping, try_compile, try_compile_with_context, BatchJob,
-    CompileOptions, CphaseOp, QaoaSpec,
+    compile_batch, ic, ip, mapping, try_compile_artifact_with_context, BatchJob, CompileOptions,
+    CompiledArtifact, CphaseOp, QaoaSpec,
 };
 use qhw::{Calibration, HardwareContext, Topology};
 use qroute::{route_append, try_route, Layout, RoutingMetric};
@@ -185,7 +185,8 @@ proptest! {
 }
 
 /// One compiled result's full observable surface, for equality checks.
-fn fingerprint(c: &qcompile::CompiledCircuit) -> (Vec<u8>, String) {
+fn fingerprint(artifact: &CompiledArtifact) -> (Vec<u8>, String) {
+    let c = artifact.template();
     let mut bytes = Vec::new();
     for i in c.physical().instructions() {
         bytes.extend_from_slice(format!("{i};").as_bytes());
@@ -196,8 +197,8 @@ fn fingerprint(c: &qcompile::CompiledCircuit) -> (Vec<u8>, String) {
     (bytes, c.explain().to_json())
 }
 
-/// Whole-pipeline byte-identity: repeated runs, the legacy shared-cache
-/// entry point and a prebuilt context must all produce the same circuit
+/// Whole-pipeline byte-identity: repeated runs, the shared-cache context
+/// and a prebuilt context must all produce the same circuit
 /// and the same Explain JSON — including when the degradation ladder
 /// rewrites the configuration.
 #[test]
@@ -213,18 +214,25 @@ fn pipeline_runs_are_byte_identical_across_entry_points_and_ladder() {
         // (degrades to IC) — its narrative must replay identically too.
         ("vic-ladder", CompileOptions::vic().with_fallback()),
     ];
+    let shared = HardwareContext::shared(&topo, None);
     for (name, options) in &configs {
-        let a = try_compile_with_context(&spec, &context, options, &mut StdRng::seed_from_u64(5))
-            .unwrap();
-        let b = try_compile_with_context(&spec, &context, options, &mut StdRng::seed_from_u64(5))
-            .unwrap();
-        let c = try_compile(&spec, &topo, None, options, &mut StdRng::seed_from_u64(5)).unwrap();
+        let compile = |context: &HardwareContext| {
+            try_compile_artifact_with_context(
+                &spec,
+                context,
+                options,
+                &mut StdRng::seed_from_u64(5),
+            )
+            .unwrap()
+        };
+        let (a, b, c) = (compile(&context), compile(&context), compile(&shared));
         assert_eq!(fingerprint(&a), fingerprint(&b), "{name}: rerun diverged");
         assert_eq!(
             fingerprint(&a),
             fingerprint(&c),
-            "{name}: shared-cache entry point diverged"
+            "{name}: shared-cache context diverged"
         );
+        let (a, b, c) = (a.template(), b.template(), c.template());
         assert_eq!(a.explain(), b.explain());
         assert_eq!(a.initial_layout(), c.initial_layout());
         assert_eq!(a.final_layout(), c.final_layout());

@@ -7,7 +7,7 @@
 //! concurrently and would race the deltas.
 
 use qcompile::{
-    compile, compile_batch, try_compile_with_context, BatchJob, CompileOptions, CphaseOp, QaoaSpec,
+    compile_batch, try_compile_artifact_with_context, BatchJob, CompileOptions, CphaseOp, QaoaSpec,
 };
 use qgraph::shortest_path::apsp_invocations;
 use qhw::{Calibration, HardwareContext, Topology};
@@ -44,9 +44,10 @@ fn floyd_warshall_runs_once_per_context() {
         CompileOptions::ic(),
         CompileOptions::vic(),
     ] {
-        try_compile_with_context(&ring_spec(8), &calibrated, &options, &mut rng).unwrap();
+        try_compile_artifact_with_context(&ring_spec(8), &calibrated, &options, &mut rng).unwrap();
     }
-    try_compile_with_context(&ring_spec(8), &plain, &CompileOptions::ic(), &mut rng).unwrap();
+    try_compile_artifact_with_context(&ring_spec(8), &plain, &CompileOptions::ic(), &mut rng)
+        .unwrap();
     assert_eq!(
         apsp_invocations(),
         before,
@@ -63,50 +64,37 @@ fn floyd_warshall_runs_once_per_context() {
     }
     assert_eq!(apsp_invocations(), before);
 
-    // The legacy per-call entry point resolves through the process-wide
-    // shared-context cache: the first call for a (topology, calibration
-    // epoch) pair pays the construction (2 runs: calibrated compile) ...
+    // A caller holding only a topology resolves its context through the
+    // process-wide shared-context cache: the first lookup for a
+    // (topology, calibration epoch) pair pays the construction (2 runs:
+    // calibrated) ...
+    let compile_shared = |cal: &Calibration, options: &CompileOptions, rng: &mut StdRng| {
+        let context = HardwareContext::shared(&topo, Some(cal));
+        try_compile_artifact_with_context(&ring_spec(8), &context, options, rng).unwrap();
+    };
     let before = apsp_invocations();
-    let _ = compile(
-        &ring_spec(8),
-        &topo,
-        Some(&cal),
-        &CompileOptions::vic(),
-        &mut rng,
-    );
+    compile_shared(&cal, &CompileOptions::vic(), &mut rng);
     assert_eq!(apsp_invocations() - before, 2);
 
-    // ... and every later call — same pair, any strategy — pays zero.
+    // ... and every later lookup — same pair, any strategy — pays zero.
     // This is what keeps ladder/retry/scripted per-call compile loops off
     // the O(n^3) Floyd–Warshall path.
     let before = apsp_invocations();
     for options in [CompileOptions::vic(), CompileOptions::ic()] {
-        let _ = compile(&ring_spec(8), &topo, Some(&cal), &options, &mut rng);
+        compile_shared(&cal, &options, &mut rng);
     }
     assert_eq!(
         apsp_invocations(),
         before,
-        "repeat legacy compiles must hit the shared context cache"
+        "repeat shared-context compiles must hit the cache"
     );
 
     // A fresh calibration epoch is a different cache entry: paid once.
     let cal2 = Calibration::random_normal(&topo, 1e-2, 5e-3, &mut rng);
     let before = apsp_invocations();
-    let _ = compile(
-        &ring_spec(8),
-        &topo,
-        Some(&cal2),
-        &CompileOptions::vic(),
-        &mut rng,
-    );
+    compile_shared(&cal2, &CompileOptions::vic(), &mut rng);
     assert_eq!(apsp_invocations() - before, 2);
     let before = apsp_invocations();
-    let _ = compile(
-        &ring_spec(8),
-        &topo,
-        Some(&cal2),
-        &CompileOptions::vic(),
-        &mut rng,
-    );
+    compile_shared(&cal2, &CompileOptions::vic(), &mut rng);
     assert_eq!(apsp_invocations(), before);
 }

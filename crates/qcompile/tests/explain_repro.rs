@@ -4,7 +4,7 @@
 //! so this is an exact-equality check, not a tolerance one.
 
 use qcompile::{
-    compile_batch, try_compile_with_context, BatchJob, CompileOptions, CphaseOp, QaoaSpec,
+    compile_batch, try_compile_artifact_with_context, BatchJob, CompileOptions, CphaseOp, QaoaSpec,
 };
 use qhw::{HardwareContext, Topology};
 use rand::rngs::StdRng;
@@ -25,12 +25,11 @@ fn explain_is_byte_identical_across_runs() {
     ] {
         let run = || {
             let mut rng = StdRng::seed_from_u64(4242);
-            let compiled =
-                try_compile_with_context(&ring_spec(8), &context, &options, &mut rng).unwrap();
-            (
-                compiled.explain().to_json(),
-                compiled.explain().render_text(),
-            )
+            let artifact =
+                try_compile_artifact_with_context(&ring_spec(8), &context, &options, &mut rng)
+                    .unwrap();
+            let explain = artifact.template().explain();
+            (explain.to_json(), explain.render_text())
         };
         let (json_a, text_a) = run();
         let (json_b, text_b) = run();
@@ -55,8 +54,8 @@ fn explain_is_independent_of_batch_worker_count() {
     let serial = compile_batch(&context, &jobs, 1);
     let parallel = compile_batch(&context, &jobs, 4);
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-        let s = s.as_ref().unwrap().explain().to_json();
-        let p = p.as_ref().unwrap().explain().to_json();
+        let s = s.as_ref().unwrap().template().explain().to_json();
+        let p = p.as_ref().unwrap().template().explain().to_json();
         assert_eq!(s, p, "job {i}: worker count changed the explain report");
     }
 }
@@ -67,8 +66,6 @@ fn explain_is_byte_identical_across_rebinds() {
     // report (and the trace it derives from) must carry over verbatim,
     // so its JSON and text renderings stay byte-identical however many
     // times and with whatever values the template is rebound.
-    use qcompile::try_compile_artifact_with_context;
-
     let context = HardwareContext::new(Topology::ibmq_20_tokyo());
     let graph = qgraph::Graph::from_edges(8, (0..8).map(|i| (i, (i + 1) % 8))).unwrap();
     let problem = qaoa::MaxCut::without_optimum(graph);
@@ -111,9 +108,10 @@ fn explain_is_byte_identical_across_rebinds() {
 fn explain_json_has_no_wall_clock_fields() {
     let context = HardwareContext::new(Topology::ibmq_20_tokyo());
     let mut rng = StdRng::seed_from_u64(7);
-    let compiled =
-        try_compile_with_context(&ring_spec(8), &context, &CompileOptions::ic(), &mut rng).unwrap();
-    let json = compiled.explain().to_json();
+    let artifact =
+        try_compile_artifact_with_context(&ring_spec(8), &context, &CompileOptions::ic(), &mut rng)
+            .unwrap();
+    let json = artifact.template().explain().to_json();
     for needle in ["_ns", "_ms", "elapsed"] {
         assert!(!json.contains(needle), "wall clock leaked: {needle}");
     }

@@ -4,8 +4,8 @@
 
 use qaoa::ising::IsingProblem;
 use qaoa::QaoaParams;
-use qcompile::{compile, CompileOptions, QaoaSpec};
-use qhw::Topology;
+use qcompile::{try_compile_artifact_with_context, CompileOptions, QaoaSpec};
+use qhw::{HardwareContext, Topology};
 use qroute::{routed_equivalent, satisfies_coupling};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,13 +32,16 @@ fn compiled_ising_circuit_is_equivalent() {
     let logical = problem.circuit(&params, false);
     let spec = QaoaSpec::from_ising(&problem, &params, false);
     let topo = Topology::ring(9);
+    let context = HardwareContext::shared(&topo, None);
     for options in [
         CompileOptions::qaim_only(),
         CompileOptions::ip(),
         CompileOptions::ic(),
     ] {
         let mut rng = StdRng::seed_from_u64(5);
-        let compiled = compile(&spec, &topo, None, &options, &mut rng);
+        let artifact =
+            try_compile_artifact_with_context(&spec, &context, &options, &mut rng).unwrap();
+        let compiled = artifact.template();
         assert!(satisfies_coupling(compiled.physical(), &topo));
         assert!(
             routed_equivalent(
@@ -64,9 +67,12 @@ fn field_and_coupling_gates_are_preserved() {
     let params = QaoaParams::p1(0.6, 0.3);
     let spec = QaoaSpec::from_ising(&problem, &params, true);
     assert_eq!(spec.field_terms(0).len(), 2); // zero fields compile away
-    let topo = Topology::linear(4);
+    let context = HardwareContext::shared(&Topology::linear(4), None);
     let mut rng = StdRng::seed_from_u64(1);
-    let compiled = compile(&spec, &topo, None, &CompileOptions::ic(), &mut rng);
+    let artifact =
+        try_compile_artifact_with_context(&spec, &context, &CompileOptions::ic(), &mut rng)
+            .unwrap();
+    let compiled = artifact.template();
     assert_eq!(compiled.physical().count_gate("rzz"), 3);
     assert_eq!(compiled.physical().count_gate("rz"), 2);
     // Angles: Rzz(2γJ)
@@ -99,9 +105,12 @@ fn compiled_ising_sampling_finds_low_energy_states() {
     );
 
     let spec = QaoaSpec::from_ising(&problem, &params, true);
-    let topo = Topology::ibmq_16_melbourne();
+    let context = HardwareContext::shared(&Topology::ibmq_16_melbourne(), None);
     let mut rng = StdRng::seed_from_u64(2);
-    let compiled = compile(&spec, &topo, None, &CompileOptions::ic(), &mut rng);
+    let artifact =
+        try_compile_artifact_with_context(&spec, &context, &CompileOptions::ic(), &mut rng)
+            .unwrap();
+    let compiled = artifact.template();
 
     // Noiseless sampling of the physical circuit, read back through the
     // final layout, must reproduce the optimized expectation.

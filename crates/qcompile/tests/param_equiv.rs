@@ -10,8 +10,10 @@
 
 use proptest::prelude::*;
 use qaoa::{MaxCut, QaoaParams};
-use qcompile::{try_compile, try_compile_artifact, CompileOptions, CompiledCircuit, QaoaSpec};
-use qhw::Topology;
+use qcompile::{
+    try_compile_artifact_with_context, CompileOptions, CompiledArtifact, CompiledCircuit, QaoaSpec,
+};
+use qhw::{HardwareContext, Topology};
 use qsim::StateVector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,6 +30,13 @@ fn arb_problem() -> impl Strategy<Value = (usize, Vec<(usize, usize)>, Vec<(f64,
         let levels = proptest::collection::vec((0.0f64..3.2, 0.0f64..1.6), 1..=2);
         (Just(n), edges, levels)
     })
+}
+
+/// Compiles `spec` on the 3×3 grid through the shared context.
+fn compile_on_grid(spec: &QaoaSpec, options: &CompileOptions, seed: u64) -> CompiledArtifact {
+    let context = HardwareContext::shared(&Topology::grid(3, 3), None);
+    let mut rng = StdRng::seed_from_u64(seed);
+    try_compile_artifact_with_context(spec, &context, options, &mut rng).unwrap()
 }
 
 /// Exact MaxCut expectation of a compiled circuit, evaluated on the
@@ -57,7 +66,6 @@ proptest! {
         let problem = MaxCut::without_optimum(graph);
         let params = QaoaParams::new(levels.clone());
         let p = levels.len();
-        let topo = Topology::grid(3, 3);
         let options = [
             CompileOptions::naive(),
             CompileOptions::ip(),
@@ -66,25 +74,12 @@ proptest! {
 
         // Path A: bind the spec, then compile the bound program.
         let bound_spec = QaoaSpec::from_maxcut(&problem, &params, false);
-        let via_recompile = try_compile(
-            &bound_spec,
-            &topo,
-            None,
-            &options,
-            &mut StdRng::seed_from_u64(seed),
-        )
-        .unwrap();
+        let recompiled = compile_on_grid(&bound_spec, &options, seed);
+        let via_recompile = recompiled.template();
 
         // Path B: compile the parametric spec once, then bind values.
         let spec = QaoaSpec::from_maxcut_parametric(&problem, p, false);
-        let artifact = try_compile_artifact(
-            &spec,
-            &topo,
-            None,
-            &options,
-            &mut StdRng::seed_from_u64(seed),
-        )
-        .unwrap();
+        let artifact = compile_on_grid(&spec, &options, seed);
         prop_assert!(artifact.is_parametric());
         prop_assert_eq!(artifact.num_params(), 2 * p);
         let via_rebind = artifact.bind(&params.to_values()).unwrap();
@@ -98,7 +93,7 @@ proptest! {
         prop_assert_eq!(via_rebind.final_layout(), via_recompile.final_layout());
 
         // Semantics: the same MaxCut expectation to 1e-10.
-        let e_recompile = physical_expectation(&via_recompile, &edges);
+        let e_recompile = physical_expectation(via_recompile, &edges);
         let e_rebind = physical_expectation(&via_rebind, &edges);
         prop_assert!(
             (e_recompile - e_rebind).abs() < 1e-10,
@@ -118,14 +113,7 @@ proptest! {
         let problem = MaxCut::without_optimum(graph);
         let p = levels.len();
         let spec = QaoaSpec::from_maxcut_parametric(&problem, p, false);
-        let artifact = try_compile_artifact(
-            &spec,
-            &Topology::grid(3, 3),
-            None,
-            &CompileOptions::ic(),
-            &mut StdRng::seed_from_u64(seed),
-        )
-        .unwrap();
+        let artifact = compile_on_grid(&spec, &CompileOptions::ic(), seed);
 
         // The template is immutable: binding a second set of values
         // gives exactly what binding it first would have given.
@@ -144,14 +132,7 @@ fn binding_with_wrong_arity_is_a_structured_error() {
     let graph = qgraph::Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
     let problem = MaxCut::without_optimum(graph);
     let spec = QaoaSpec::from_maxcut_parametric(&problem, 2, false);
-    let artifact = try_compile_artifact(
-        &spec,
-        &Topology::grid(3, 3),
-        None,
-        &CompileOptions::ic(),
-        &mut StdRng::seed_from_u64(7),
-    )
-    .unwrap();
+    let artifact = compile_on_grid(&spec, &CompileOptions::ic(), 7);
     let err = artifact
         .bind(&qcircuit::ParamValues::new(vec![0.1; 3]))
         .unwrap_err();

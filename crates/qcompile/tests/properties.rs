@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use qcompile::ip::{flatten, pack_layers};
 use qcompile::mapping::{greedy_v, qaim, qaim_variant, QaimVariant};
-use qcompile::{compile, CompileOptions, CphaseOp, QaoaSpec};
+use qcompile::{try_compile_artifact_with_context, CompileOptions, CphaseOp, QaoaSpec};
 use qhw::Topology;
 use qroute::satisfies_coupling;
 use rand::rngs::StdRng;
@@ -99,7 +99,10 @@ proptest! {
             CompileOptions::vic(),
         ][strategy_idx];
         let mut rng = StdRng::seed_from_u64(seed);
-        let compiled = compile(&spec, &topo_m, Some(&cal), &options, &mut rng);
+        let context = qhw::HardwareContext::shared(&topo_m, Some(&cal));
+        let artifact =
+            try_compile_artifact_with_context(&spec, &context, &options, &mut rng).unwrap();
+        let compiled = artifact.template();
         prop_assert!(satisfies_coupling(compiled.physical(), &topo_m));
         prop_assert_eq!(compiled.physical().count_gate("rzz"), ops.len());
         prop_assert_eq!(compiled.physical().count_gate("measure"), 9);

@@ -9,7 +9,7 @@
 //! program — and that corrupted tables take the fallback path to an
 //! equally verified circuit.
 
-use qcompile::{try_compile_with_context, CompileOptions, QaoaSpec};
+use qcompile::{try_compile_artifact_with_context, CompileOptions, QaoaSpec};
 use qhw::fault::{FaultInjector, FaultKind};
 use qhw::{Calibration, HardwareContext, Topology};
 use qroute::{routed_equivalent, satisfies_coupling};
@@ -76,10 +76,12 @@ fn vic_routed_circuits_verify_under_heavy_drift() {
         let context = HardwareContext::with_calibration(topo.clone(), drifted);
         let spec = small_spec(500 + seed);
         let mut rng = StdRng::seed_from_u64(seed);
-        let compiled =
-            try_compile_with_context(&spec, &context, &CompileOptions::vic(), &mut rng).unwrap();
+        let artifact =
+            try_compile_artifact_with_context(&spec, &context, &CompileOptions::vic(), &mut rng)
+                .unwrap();
+        let compiled = artifact.template();
         assert!(!compiled.trace().degraded(), "valid table needs no ladder");
-        assert_verified(&spec, &topo, &compiled);
+        assert_verified(&spec, &topo, compiled);
     }
 }
 
@@ -98,9 +100,11 @@ fn vic_routed_circuits_verify_under_extreme_valid_tables() {
         assert!(cal.validate(&topo).is_ok());
         let context = HardwareContext::with_calibration(topo.clone(), cal);
         let mut rng = StdRng::seed_from_u64(9);
-        let compiled =
-            try_compile_with_context(&spec, &context, &CompileOptions::vic(), &mut rng).unwrap();
-        assert_verified(&spec, &topo, &compiled);
+        let artifact =
+            try_compile_artifact_with_context(&spec, &context, &CompileOptions::vic(), &mut rng)
+                .unwrap();
+        let compiled = artifact.template();
+        assert_verified(&spec, &topo, compiled);
     }
 }
 
@@ -121,8 +125,10 @@ fn fallback_vic_circuits_verify_like_primary_ones() {
         let spec = small_spec(11);
         let mut rng = StdRng::seed_from_u64(3);
         let options = CompileOptions::vic().with_fallback();
-        let compiled = try_compile_with_context(&spec, &context, &options, &mut rng).unwrap();
+        let artifact =
+            try_compile_artifact_with_context(&spec, &context, &options, &mut rng).unwrap();
+        let compiled = artifact.template();
         assert!(compiled.trace().degraded(), "{}", kind.label());
-        assert_verified(&spec, &topo, &compiled);
+        assert_verified(&spec, &topo, compiled);
     }
 }

@@ -498,7 +498,8 @@ impl OpsState {
     /// Records one admission: opens the lifecycle trace and bumps the
     /// tenant and spec request counters.
     pub fn on_admit(&mut self, id: u64, tenant: usize, spec_fp: u64, key_fp: u64, tick: u64) {
-        self.lifecycle.open(id, tenant as u32, spec_fp, key_fp, tick);
+        self.lifecycle
+            .open(id, tenant as u32, spec_fp, key_fp, tick);
         self.tenants[tenant].requests += 1;
         if let Some(slot) = self.specs.get_mut(&spec_fp) {
             *slot += 1;
@@ -833,8 +834,7 @@ mod tests {
         ];
         let manifest = lifecycle_manifest("lc", &traces);
         assert_eq!(manifest.events.len(), 4);
-        let tids: std::collections::BTreeSet<u64> =
-            manifest.events.iter().map(|e| e.tid).collect();
+        let tids: std::collections::BTreeSet<u64> = manifest.events.iter().map(|e| e.tid).collect();
         assert_eq!(tids.into_iter().collect::<Vec<_>>(), vec![0, 3]);
         assert!(manifest
             .events

@@ -278,7 +278,10 @@ fn throttled_probe_returns_the_breaker_slot() {
         "the throttled probe was aborted, not leaked"
     );
     assert!(service.drain_one());
-    assert!(probe.wait().result.is_err(), "the probe compile still fails");
+    assert!(
+        probe.wait().result.is_err(),
+        "the probe compile still fails"
+    );
 }
 
 /// Same leak through the deadline plane: a queued probe reaped before
@@ -299,7 +302,10 @@ fn deadline_reaped_probe_returns_the_breaker_slot() {
 
     let ticket = service.submit(request(0));
     assert!(service.drain_one());
-    assert!(ticket.wait().result.is_err(), "one failure trips the breaker");
+    assert!(
+        ticket.wait().result.is_err(),
+        "one failure trips the breaker"
+    );
 
     // The probe queues with a deadline and nothing dequeues it
     // (workers: 0): the sweep reaps it before any worker reports.

@@ -6,8 +6,8 @@
 //! Run with: `cargo run --release --example arg_benchmark [nodes] [shots]`
 
 use qaoa::{approximation_ratio_from_counts, approximation_ratio_gap, qaoa_circuit, MaxCut};
-use qcompile::{compile_artifact, CompileOptions, QaoaSpec};
-use qhw::Calibration;
+use qcompile::{try_compile_artifact_with_context, CompileOptions, QaoaSpec};
+use qhw::{Calibration, HardwareContext};
 use qsim::{Counts, NoiseModel, Sampler, StateVector, TrajectorySimulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,7 +55,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    angles) would reuse the same artifact with fresh `bind` calls.
     let (topo, cal) = Calibration::melbourne_2020_04_08();
     let spec = QaoaSpec::from_maxcut_parametric(&problem, 1, true);
-    let artifact = compile_artifact(&spec, &topo, Some(&cal), &CompileOptions::ic(), &mut rng);
+    let context = HardwareContext::shared(&topo, Some(&cal));
+    let artifact =
+        try_compile_artifact_with_context(&spec, &context, &CompileOptions::ic(), &mut rng)?;
     let compiled = artifact.bind(&params.to_values())?;
     println!(
         "compiled with IC(+QAIM): depth {}, {} CNOTs, {} SWAPs",

@@ -6,8 +6,8 @@
 //! Run with: `cargo run --release --example ising_fields`
 
 use qaoa::ising::IsingProblem;
-use qcompile::{compile, CompileOptions, QaoaSpec};
-use qhw::Calibration;
+use qcompile::{try_compile_artifact_with_context, CompileOptions, QaoaSpec};
+use qhw::{Calibration, HardwareContext};
 use qsim::{Sampler, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,7 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (topo, cal) = Calibration::melbourne_2020_04_08();
     let spec = QaoaSpec::from_ising(&problem, &params, true);
     let mut c_rng = StdRng::seed_from_u64(7);
-    let compiled = compile(&spec, &topo, Some(&cal), &CompileOptions::ic(), &mut c_rng);
+    let context = HardwareContext::shared(&topo, Some(&cal));
+    let artifact =
+        try_compile_artifact_with_context(&spec, &context, &CompileOptions::ic(), &mut c_rng)?;
+    let compiled = artifact.template();
     println!(
         "compiled: depth {}, {} gates, {} SWAPs, success probability {:.3e}",
         compiled.depth(),

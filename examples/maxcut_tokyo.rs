@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release --example maxcut_tokyo [nodes] [k]`
 
 use qaoa::{MaxCut, QaoaParams};
-use qcompile::{compile, CompileOptions, QaoaSpec};
-use qhw::{Calibration, Topology};
+use qcompile::{try_compile_artifact_with_context, CompileOptions, QaoaSpec};
+use qhw::{Calibration, HardwareContext, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,6 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = QaoaSpec::from_maxcut(&problem, &QaoaParams::p1(0.9, 0.35), true);
     let topo = Topology::ibmq_20_tokyo();
     let cal = Calibration::random_normal(&topo, 1.0e-2, 0.5e-2, &mut rng);
+    let context = HardwareContext::shared(&topo, Some(&cal));
 
     println!(
         "\n{:<10} {:>7} {:>7} {:>7} {:>7} {:>12} {:>12}",
@@ -43,7 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("IC", CompileOptions::ic()),
         ("VIC", CompileOptions::vic()),
     ] {
-        let compiled = compile(&spec, &topo, Some(&cal), &options, &mut rng);
+        let artifact = try_compile_artifact_with_context(&spec, &context, &options, &mut rng)?;
+        let compiled = artifact.template();
         assert!(qroute::satisfies_coupling(compiled.physical(), &topo));
         println!(
             "{:<10} {:>7} {:>7} {:>7} {:>7} {:>12.3e} {:>12?}",

@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release --example packing_sweep`
 
 use qaoa::{MaxCut, QaoaParams};
-use qcompile::{compile, CompileOptions, QaoaSpec};
-use qhw::Topology;
+use qcompile::{try_compile_artifact_with_context, CompileOptions, QaoaSpec};
+use qhw::{HardwareContext, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -16,6 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let problem = MaxCut::without_optimum(graph);
     let spec = QaoaSpec::from_maxcut(&problem, &QaoaParams::p1(0.9, 0.35), true);
     let topo = Topology::grid(6, 6);
+    let context = HardwareContext::shared(&topo, None);
     println!(
         "36-node ER(0.5) instance with {} CPHASE gates on {}",
         spec.total_cphase_count(),
@@ -29,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for limit in [1usize, 2, 3, 5, 7, 9, 11, 13, 15, 18] {
         let options = CompileOptions::ic().with_packing_limit(limit);
         let mut c_rng = StdRng::seed_from_u64(17);
-        let compiled = compile(&spec, &topo, None, &options, &mut c_rng);
+        let artifact = try_compile_artifact_with_context(&spec, &context, &options, &mut c_rng)?;
+        let compiled = artifact.template();
         println!(
             "{:<15} {:>7} {:>7} {:>7} {:>12?}",
             limit,

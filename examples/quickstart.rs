@@ -14,8 +14,8 @@
 //! bench-regress job).
 
 use qaoa::MaxCut;
-use qcompile::{compile, compile_artifact, CompileOptions, QaoaSpec};
-use qhw::Topology;
+use qcompile::{try_compile_artifact_with_context, CompileOptions, QaoaSpec};
+use qhw::{HardwareContext, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,17 +56,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Compile for the linearly coupled 4-qubit device of Figure 1(d).
     let device = Topology::linear(4);
+    let context = HardwareContext::shared(&device, None);
     let mut rng = StdRng::seed_from_u64(1);
 
     // NAIVE baseline: compile the bound program directly.
     let bound_spec = QaoaSpec::from_maxcut(&problem, &params, true);
-    let naive = compile(
+    let naive = try_compile_artifact_with_context(
         &bound_spec,
-        &device,
-        None,
+        &context,
         &CompileOptions::naive(),
         &mut rng,
-    );
+    )?;
+    let naive = naive.template();
     println!("--- NAIVE (random mapping + random order) ---");
     println!(
         "depth {}  gates {}  CNOTs {}  SWAPs {}  compile {:?}",
@@ -84,13 +85,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // and `(γ, β)` values are substituted per use — the hybrid optimizer
     // loop rebinds this artifact every iteration instead of recompiling.
     let template_spec = QaoaSpec::from_maxcut_parametric(&problem, 1, true);
-    let artifact = compile_artifact(
+    let artifact = try_compile_artifact_with_context(
         &template_spec,
-        &device,
-        None,
+        &context,
         &CompileOptions::ic(),
         &mut rng,
-    );
+    )?;
     let compiled = artifact.bind(&params.to_values())?;
     println!("--- IC (+QAIM), bound from the compiled artifact ---");
     println!(

@@ -7,8 +7,8 @@
 
 use qaoa::{MaxCut, QaoaParams};
 use qcircuit::Circuit;
-use qcompile::{compile, CompileOptions, QaoaSpec};
-use qhw::Calibration;
+use qcompile::{try_compile_artifact_with_context, CompileOptions, QaoaSpec};
+use qhw::{Calibration, HardwareContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,6 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * worst.1,
     );
 
+    let context = HardwareContext::shared(&topo, Some(&cal));
     let mut rng = StdRng::seed_from_u64(42);
     let (mut sp_ic_total, mut sp_vic_total) = (0.0, 0.0);
     let runs = 10;
@@ -50,8 +51,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let problem = MaxCut::without_optimum(graph);
         let spec = QaoaSpec::from_maxcut(&problem, &QaoaParams::p1(0.8, 0.4), true);
 
-        let ic = compile(&spec, &topo, Some(&cal), &CompileOptions::ic(), &mut rng);
-        let vic = compile(&spec, &topo, Some(&cal), &CompileOptions::vic(), &mut rng);
+        let ic =
+            try_compile_artifact_with_context(&spec, &context, &CompileOptions::ic(), &mut rng)?;
+        let vic =
+            try_compile_artifact_with_context(&spec, &context, &CompileOptions::vic(), &mut rng)?;
+        let (ic, vic) = (ic.template(), vic.template());
         let (sp_ic, sp_vic) = (ic.success_probability(&cal), vic.success_probability(&cal));
         sp_ic_total += sp_ic;
         sp_vic_total += sp_vic;

@@ -29,8 +29,10 @@
 use std::io::Write as _;
 
 use qaoa::{MaxCut, QaoaParams};
-use qcompile::{try_compile, Compilation, CompileOptions, InitialMapping, QaoaSpec};
-use qhw::{Calibration, Topology};
+use qcompile::{
+    try_compile_artifact_with_context, Compilation, CompileOptions, InitialMapping, QaoaSpec,
+};
+use qhw::{Calibration, HardwareContext, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -203,8 +205,10 @@ fn run() -> Result<(), String> {
     } else {
         Calibration::random_normal(&topo, 1.0e-2, 0.5e-2, &mut rng)
     };
-    let compiled = try_compile(&spec, &topo, Some(&calibration), &options, &mut rng)
+    let context = HardwareContext::shared(&topo, Some(&calibration));
+    let artifact = try_compile_artifact_with_context(&spec, &context, &options, &mut rng)
         .map_err(|e| e.to_string())?;
+    let compiled = artifact.template();
 
     eprintln!(
         "compiled: depth {}, {} gates ({} CNOTs), {} SWAPs, success probability {:.3e}, {:?}",

@@ -30,15 +30,12 @@
 //!     true,
 //! );
 //! let device = qhw::Topology::ibmq_20_tokyo();
-//! let compiled = qcompile::compile(
-//!     &spec,
-//!     &device,
-//!     None,
-//!     &qcompile::CompileOptions::ic(),
-//!     &mut rng,
-//! );
-//! assert!(qroute::satisfies_coupling(compiled.physical(), &device));
-//! # Ok::<(), qgraph::GraphError>(())
+//! let context = qhw::HardwareContext::shared(&device, None);
+//! let options = qcompile::CompileOptions::ic();
+//! let artifact =
+//!     qcompile::try_compile_artifact_with_context(&spec, &context, &options, &mut rng)?;
+//! assert!(qroute::satisfies_coupling(artifact.template().physical(), &device));
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub use qaoa;

@@ -15,8 +15,8 @@
 //! runs the same invariant via `bench`'s deterministic manifest gate.
 
 use qcompile::{
-    compile_batch, try_compile_with_context, BatchJob, CompileError, CompileOptions,
-    CompiledCircuit, QaoaSpec, FULL_VERIFY_MAX_QUBITS,
+    compile_batch, try_compile_artifact_with_context, BatchJob, CompileError, CompileOptions,
+    CompiledArtifact, QaoaSpec, FULL_VERIFY_MAX_QUBITS,
 };
 use qhw::fault::{FaultInjector, FaultKind};
 use qhw::{Calibration, HardwareContext, Topology};
@@ -53,7 +53,8 @@ fn logical_reference(spec: &QaoaSpec) -> qcircuit::Circuit {
 }
 
 /// The invariant: a delivered circuit is verified, full stop.
-fn assert_verified(spec: &QaoaSpec, topo: &Topology, compiled: &CompiledCircuit) {
+fn assert_verified(spec: &QaoaSpec, topo: &Topology, artifact: &CompiledArtifact) {
+    let compiled = artifact.template();
     assert!(
         satisfies_coupling(compiled.physical(), topo),
         "unverified circuit escaped: coupling violation"
@@ -96,7 +97,7 @@ fn run_scenario(
     seed: u64,
 ) -> bool {
     let mut rng = StdRng::seed_from_u64(seed);
-    match try_compile_with_context(spec, context, options, &mut rng) {
+    match try_compile_artifact_with_context(spec, context, options, &mut rng) {
         Ok(compiled) => {
             assert_verified(spec, topo, &compiled);
             true
@@ -159,7 +160,7 @@ fn topology_degradation_never_panics_or_escapes_unverified() {
             let spec = spec_for(2000 + seed, 10);
             for options in [CompileOptions::ic(), CompileOptions::naive()] {
                 let mut rng = StdRng::seed_from_u64(seed);
-                match try_compile_with_context(&spec, &context, &options, &mut rng) {
+                match try_compile_artifact_with_context(&spec, &context, &options, &mut rng) {
                     Ok(compiled) => {
                         assert!(context.is_connected());
                         assert_verified(&spec, &topo, &compiled);
@@ -199,7 +200,7 @@ fn budget_exhaustion_degrades_or_errors_structurally() {
                 // Strict: a structured BudgetExceeded (or, for swap
                 // budgets on lucky seeds, a 0-swap success).
                 let mut rng = StdRng::seed_from_u64(seed);
-                match try_compile_with_context(&spec, &context, &opts, &mut rng) {
+                match try_compile_artifact_with_context(&spec, &context, &opts, &mut rng) {
                     Ok(c) => assert_verified(&spec, &topo, &c),
                     Err(e) => assert!(
                         matches!(e, CompileError::BudgetExceeded { .. }),
@@ -209,9 +210,13 @@ fn budget_exhaustion_degrades_or_errors_structurally() {
                 // Resilient: the final rung is budget-exempt, so a
                 // verified circuit always comes back.
                 let mut rng = StdRng::seed_from_u64(seed);
-                let compiled =
-                    try_compile_with_context(&spec, &context, &opts.with_fallback(), &mut rng)
-                        .unwrap();
+                let compiled = try_compile_artifact_with_context(
+                    &spec,
+                    &context,
+                    &opts.with_fallback(),
+                    &mut rng,
+                )
+                .unwrap();
                 assert_verified(&spec, &topo, &compiled);
             }
         }
@@ -265,7 +270,7 @@ fn poisoned_batches_return_structured_results_per_job() {
                 // The resilient VIC job delivers a verified circuit.
                 _ => {
                     let compiled = result.as_ref().unwrap();
-                    assert!(compiled.trace().degraded());
+                    assert!(compiled.template().trace().degraded());
                     assert_verified(&jobs[i].spec, &topo, compiled);
                 }
             }
@@ -285,7 +290,7 @@ fn fallbacks_surface_in_the_qtrace_manifest() {
     let q = qtrace::global();
     q.enable();
     let mut rng = StdRng::seed_from_u64(1);
-    let compiled = try_compile_with_context(
+    let compiled = try_compile_artifact_with_context(
         &spec,
         &context,
         &CompileOptions::vic().with_fallback(),
@@ -294,7 +299,7 @@ fn fallbacks_surface_in_the_qtrace_manifest() {
     .unwrap();
     q.disable();
     let manifest = q.take_manifest("chaos-telemetry");
-    assert!(compiled.trace().degraded());
+    assert!(compiled.template().trace().degraded());
     // Process-global recorder: lower bounds only.
     assert!(
         manifest

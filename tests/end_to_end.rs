@@ -4,8 +4,8 @@
 use qaoa::{
     approximation_ratio_from_counts, approximation_ratio_gap, qaoa_circuit, MaxCut, QaoaParams,
 };
-use qcompile::{compile, CompileOptions, QaoaSpec};
-use qhw::{Calibration, Topology};
+use qcompile::{try_compile_artifact_with_context, CompileOptions, QaoaSpec};
+use qhw::{Calibration, HardwareContext, Topology};
 use qroute::{routed_equivalent, satisfies_coupling};
 use qsim::{Counts, NoiseModel, Sampler, StateVector, TrajectorySimulator};
 use rand::rngs::StdRng;
@@ -35,9 +35,12 @@ fn compiled_circuits_are_equivalent_to_logical() {
     // A 10-qubit device keeps the equivalence check cheap.
     let topo = Topology::ring(10);
     let cal = Calibration::random_normal(&topo, 1e-2, 5e-3, &mut rng);
+    let context = HardwareContext::shared(&topo, Some(&cal));
 
     for (name, options) in all_strategies() {
-        let compiled = compile(&spec, &topo, Some(&cal), &options, &mut rng);
+        let artifact =
+            try_compile_artifact_with_context(&spec, &context, &options, &mut rng).unwrap();
+        let compiled = artifact.template();
         assert!(
             satisfies_coupling(compiled.physical(), &topo),
             "{name} violates coupling"
@@ -78,8 +81,11 @@ fn arg_orders_strategies_sensibly() {
     );
 
     let sim = TrajectorySimulator::new(NoiseModel::new(cal.clone()));
+    let context = HardwareContext::shared(&topo, Some(&cal));
     let mut arg_of = |options: &CompileOptions| -> f64 {
-        let compiled = compile(&spec, &topo, Some(&cal), options, &mut rng);
+        let artifact =
+            try_compile_artifact_with_context(&spec, &context, options, &mut rng).unwrap();
+        let compiled = artifact.template();
         let physical_counts = sim.sample(compiled.physical(), shots, 64, &mut rng);
         let mut logical_counts = Counts::new();
         for (phys, k) in physical_counts {
@@ -115,8 +121,11 @@ fn routed_sampling_matches_logical_distribution() {
     let problem = MaxCut::new(graph);
     let params = QaoaParams::p1(0.5, 0.3);
     let spec = QaoaSpec::from_maxcut(&problem, &params, true);
-    let topo = Topology::ring(10);
-    let compiled = compile(&spec, &topo, None, &CompileOptions::ic(), &mut rng);
+    let context = HardwareContext::shared(&Topology::ring(10), None);
+    let artifact =
+        try_compile_artifact_with_context(&spec, &context, &CompileOptions::ic(), &mut rng)
+            .unwrap();
+    let compiled = artifact.template();
 
     let logical_state = StateVector::from_circuit(&qaoa_circuit(&problem, &params, false));
     let exact = logical_state.expectation_diagonal(|bits| problem.cut_value(bits) as f64);
@@ -152,8 +161,11 @@ fn strategy_quality_ordering() {
         let problem = MaxCut::without_optimum(g);
         let spec = QaoaSpec::from_maxcut(&problem, &QaoaParams::p1(0.9, 0.35), true);
         let cal = Calibration::random_normal(&topo, 1e-2, 5e-3, &mut rng);
+        let context = HardwareContext::shared(&topo, Some(&cal));
         for (si, (_, options)) in all_strategies().iter().enumerate() {
-            let c = compile(&spec, &topo, Some(&cal), options, &mut rng);
+            let artifact =
+                try_compile_artifact_with_context(&spec, &context, options, &mut rng).unwrap();
+            let c = artifact.template();
             depth[si] += c.depth();
             gates[si] += c.gate_count();
         }

@@ -3,10 +3,27 @@
 //! the qualitative claim — who wins, and roughly where.
 
 use qaoa::{MaxCut, QaoaParams};
-use qcompile::{compile, Compilation, CompileOptions, InitialMapping, QaoaSpec};
-use qhw::{Calibration, Topology};
+use qcompile::{
+    try_compile_artifact_with_context, Compilation, CompileOptions, CompiledCircuit,
+    InitialMapping, QaoaSpec,
+};
+use qhw::{Calibration, HardwareContext, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Compiles through the shared context for `topo`, as the figure
+/// binaries do.
+fn compile(
+    spec: &QaoaSpec,
+    topo: &Topology,
+    cal: Option<&Calibration>,
+    options: &CompileOptions,
+    rng: &mut StdRng,
+) -> CompiledCircuit {
+    let context = HardwareContext::shared(topo, cal);
+    let artifact = try_compile_artifact_with_context(spec, &context, options, rng).unwrap();
+    artifact.template().clone()
+}
 
 fn er_spec(n: usize, p: f64, seed: u64) -> QaoaSpec {
     let mut rng = StdRng::seed_from_u64(seed);

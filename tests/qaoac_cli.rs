@@ -14,6 +14,7 @@ fn qaoac(args: &[&str]) -> std::process::Output {
 fn bad_inputs_exit_1_without_panicking() {
     for args in [
         &["--packing", "0"][..],
+        &["--strategy", "ip", "--packing", "0"][..],
         &["--nodes", "24", "--device", "melbourne"][..],
     ] {
         let out = qaoac(args);

@@ -2,8 +2,8 @@
 //! OpenQASM → parse back → identical circuit and metrics.
 
 use qaoa::{MaxCut, QaoaParams};
-use qcompile::{compile, CompileOptions, QaoaSpec};
-use qhw::Topology;
+use qcompile::{try_compile_artifact_with_context, CompileOptions, QaoaSpec};
+use qhw::{HardwareContext, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,8 +19,10 @@ fn compiled_circuits_survive_qasm_round_trip() {
         let g = qgraph::generators::connected_erdos_renyi(10, 0.4, 1000, &mut g_rng).unwrap();
         let problem = MaxCut::without_optimum(g);
         let spec = QaoaSpec::from_maxcut(&problem, &QaoaParams::p1(0.7, 0.3), true);
-        let topo = Topology::ibmq_16_melbourne();
-        let compiled = compile(&spec, &topo, None, &strategy, &mut rng);
+        let context = HardwareContext::shared(&Topology::ibmq_16_melbourne(), None);
+        let artifact =
+            try_compile_artifact_with_context(&spec, &context, &strategy, &mut rng).unwrap();
+        let compiled = artifact.template();
 
         let qasm = qcircuit::qasm::to_qasm(compiled.basis_circuit()).unwrap();
         let parsed = qcircuit::qasm::parse(&qasm).expect("exported QASM re-parses");
@@ -38,8 +40,11 @@ fn qasm_round_trip_preserves_semantics() {
     let g = qgraph::generators::connected_random_regular(6, 3, 1000, &mut rng).unwrap();
     let problem = MaxCut::without_optimum(g);
     let spec = QaoaSpec::from_maxcut(&problem, &QaoaParams::p1(0.4, 0.2), false);
-    let topo = Topology::ring(8);
-    let compiled = compile(&spec, &topo, None, &CompileOptions::ic(), &mut rng);
+    let context = HardwareContext::shared(&Topology::ring(8), None);
+    let artifact =
+        try_compile_artifact_with_context(&spec, &context, &CompileOptions::ic(), &mut rng)
+            .unwrap();
+    let compiled = artifact.template();
 
     let parsed =
         qcircuit::qasm::parse(&qcircuit::qasm::to_qasm(compiled.basis_circuit()).unwrap()).unwrap();
