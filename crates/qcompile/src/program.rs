@@ -1,3 +1,7 @@
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
 use qaoa::{MaxCut, QaoaParams};
 use qcircuit::{Angle, CircuitError, ParamId, ParamTable, ParamValues};
 use qgraph::Graph;
@@ -50,8 +54,20 @@ impl CphaseOp {
 /// [`QaoaSpec::from_maxcut_parametric`]). The compile flow is angle-blind,
 /// so a parametric spec compiles exactly like a bound one and the result
 /// can be rebound per optimizer iteration ([`CompiledArtifact`]).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A spec is a handle to one immutable body: `clone` bumps a refcount,
+/// and the body's [`QaoaSpec::fingerprint`] is computed once, when the
+/// spec is built. A program's identity is its bits: equality compares
+/// every angle via `f64::to_bits`, the bits the fingerprint hashes, so
+/// it is reflexive for NaN angles, tells `+0.0` from `-0.0`, and equal
+/// specs always have equal fingerprints.
+#[derive(Debug, Clone)]
 pub struct QaoaSpec {
+    body: Arc<SpecBody>,
+}
+
+#[derive(Debug, Clone)]
+struct SpecBody {
     num_qubits: usize,
     levels: Vec<(Vec<CphaseOp>, Angle)>,
     /// Per-level longitudinal-field rotations `(qubit, angle)`: diagonal
@@ -60,6 +76,96 @@ pub struct QaoaSpec {
     fields: Vec<Vec<(usize, Angle)>>,
     params: ParamTable,
     measure: bool,
+    /// The structural hash of everything above ([`QaoaSpec::fingerprint`]).
+    fingerprint: u64,
+}
+
+impl SpecBody {
+    /// SipHash over qubit count, measurement flag, every level's CPHASE
+    /// list and mixer angle, every field term and the parameter-table
+    /// names, angles bit-exact. This byte stream is frozen: the value
+    /// names qserve's spill files, quarantine entries and journal lines.
+    fn structural_hash(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.num_qubits.hash(&mut h);
+        self.measure.hash(&mut h);
+        self.levels.len().hash(&mut h);
+        for ((ops, mixer), fields) in self.levels.iter().zip(&self.fields) {
+            ops.len().hash(&mut h);
+            for op in ops {
+                op.a.hash(&mut h);
+                op.b.hash(&mut h);
+                hash_angle(&op.angle, &mut h);
+            }
+            hash_angle(mixer, &mut h);
+            fields.len().hash(&mut h);
+            for (q, angle) in fields {
+                q.hash(&mut h);
+                hash_angle(angle, &mut h);
+            }
+        }
+        self.params.len().hash(&mut h);
+        for (_, name) in self.params.iter() {
+            name.hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// Bit-exact equality of the hashed parts.
+    fn same_bits(&self, other: &SpecBody) -> bool {
+        self.fingerprint == other.fingerprint
+            && self.num_qubits == other.num_qubits
+            && self.measure == other.measure
+            && self.params == other.params
+            && pairwise(
+                &self.levels,
+                &other.levels,
+                |(ops, mixer), (ops2, mixer2)| {
+                    same_angle(mixer, mixer2)
+                        && pairwise(ops, ops2, |x, y| {
+                            x.a == y.a && x.b == y.b && same_angle(&x.angle, &y.angle)
+                        })
+                },
+            )
+            && pairwise(&self.fields, &other.fields, |level, level2| {
+                pairwise(level, level2, |(q, x), (r, y)| q == r && same_angle(x, y))
+            })
+    }
+}
+
+fn hash_angle<H: Hasher>(angle: &Angle, h: &mut H) {
+    match angle {
+        Angle::Const(v) => {
+            0u8.hash(h);
+            v.to_bits().hash(h);
+        }
+        Angle::Sym { param, scale } => {
+            1u8.hash(h);
+            param.0.hash(h);
+            scale.to_bits().hash(h);
+        }
+    }
+}
+
+fn same_angle(x: &Angle, y: &Angle) -> bool {
+    match (*x, *y) {
+        (Angle::Const(v), Angle::Const(w)) => v.to_bits() == w.to_bits(),
+        (Angle::Sym { param, scale }, Angle::Sym { param: p, scale: s }) => {
+            param == p && scale.to_bits() == s.to_bits()
+        }
+        _ => false,
+    }
+}
+
+fn pairwise<T>(xs: &[T], ys: &[T], eq: impl Fn(&T, &T) -> bool) -> bool {
+    xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| eq(x, y))
+}
+
+impl PartialEq for QaoaSpec {
+    /// Bit-exact structural equality; O(1) for two clones of one spec.
+    fn eq(&self, other: &QaoaSpec) -> bool {
+        Arc::ptr_eq(&self.body, &other.body) || self.body.same_bits(&other.body)
+    }
 }
 
 impl QaoaSpec {
@@ -73,11 +179,24 @@ impl QaoaSpec {
         levels: Vec<(Vec<CphaseOp>, B)>,
         measure: bool,
     ) -> Self {
-        assert!(!levels.is_empty(), "QAOA spec needs at least one level");
         let levels: Vec<(Vec<CphaseOp>, Angle)> = levels
             .into_iter()
             .map(|(ops, beta)| (ops, beta.into()))
             .collect();
+        let fields = vec![Vec::new(); levels.len()];
+        QaoaSpec::from_parts(num_qubits, levels, fields, ParamTable::new(), measure)
+    }
+
+    /// The constructor every other one routes through: validates the
+    /// parts, then hashes them once into a fresh shared body.
+    fn from_parts(
+        num_qubits: usize,
+        levels: Vec<(Vec<CphaseOp>, Angle)>,
+        fields: Vec<Vec<(usize, Angle)>>,
+        params: ParamTable,
+        measure: bool,
+    ) -> Self {
+        assert!(!levels.is_empty(), "QAOA spec needs at least one level");
         for (ops, _) in &levels {
             for op in ops {
                 assert!(
@@ -88,14 +207,29 @@ impl QaoaSpec {
                 );
             }
         }
-        let fields = vec![Vec::new(); levels.len()];
-        QaoaSpec {
+        assert_eq!(fields.len(), levels.len(), "one field list per level");
+        for level in &fields {
+            for &(q, _) in level {
+                assert!(q < num_qubits, "field qubit {q} out of range");
+            }
+        }
+        let mut body = SpecBody {
             num_qubits,
             levels,
             fields,
-            params: ParamTable::new(),
+            params,
             measure,
+            fingerprint: 0,
+        };
+        body.fingerprint = body.structural_hash();
+        QaoaSpec {
+            body: Arc::new(body),
         }
+    }
+
+    /// Takes the body out of the handle, copying it only when shared.
+    fn into_body(self) -> SpecBody {
+        Arc::try_unwrap(self.body).unwrap_or_else(|shared| SpecBody::clone(&shared))
     }
 
     /// Attaches per-level longitudinal-field rotations (see
@@ -105,26 +239,32 @@ impl QaoaSpec {
     ///
     /// Panics if the list count differs from the level count or a field
     /// qubit is out of range.
-    pub fn with_fields<B: Into<Angle>>(mut self, fields: Vec<Vec<(usize, B)>>) -> Self {
-        assert_eq!(fields.len(), self.levels.len(), "one field list per level");
-        let fields: Vec<Vec<(usize, Angle)>> = fields
+    pub fn with_fields<B: Into<Angle>>(self, fields: Vec<Vec<(usize, B)>>) -> Self {
+        let fields = fields
             .into_iter()
             .map(|level| level.into_iter().map(|(q, a)| (q, a.into())).collect())
             .collect();
-        for level in &fields {
-            for &(q, _) in level {
-                assert!(q < self.num_qubits, "field qubit {q} out of range");
-            }
-        }
-        self.fields = fields;
-        self
+        let body = self.into_body();
+        QaoaSpec::from_parts(
+            body.num_qubits,
+            body.levels,
+            fields,
+            body.params,
+            body.measure,
+        )
     }
 
     /// Attaches a parameter table describing the symbolic angles the spec
     /// refers to. Circuits built from the spec inherit this table.
-    pub fn with_params(mut self, params: ParamTable) -> Self {
-        self.params = params;
-        self
+    pub fn with_params(self, params: ParamTable) -> Self {
+        let body = self.into_body();
+        QaoaSpec::from_parts(
+            body.num_qubits,
+            body.levels,
+            body.fields,
+            params,
+            body.measure,
+        )
     }
 
     /// The shared `2p` parameter table of a level-`p` parametric QAOA
@@ -153,7 +293,7 @@ impl QaoaSpec {
         params: &qaoa::QaoaParams,
         measure: bool,
     ) -> Self {
-        let levels: Vec<(Vec<CphaseOp>, f64)> = params
+        let levels = params
             .levels()
             .iter()
             .map(|&(gamma, beta)| {
@@ -162,10 +302,10 @@ impl QaoaSpec {
                     .iter()
                     .map(|&(u, v, j)| CphaseOp::new(u, v, 2.0 * gamma * j))
                     .collect();
-                (ops, beta)
+                (ops, Angle::Const(beta))
             })
             .collect();
-        let fields: Vec<Vec<(usize, f64)>> = params
+        let fields = params
             .levels()
             .iter()
             .map(|&(gamma, _)| {
@@ -174,11 +314,17 @@ impl QaoaSpec {
                     .iter()
                     .enumerate()
                     .filter(|(_, &h)| h != 0.0)
-                    .map(|(q, &h)| (q, 2.0 * gamma * h))
+                    .map(|(q, &h)| (q, Angle::Const(2.0 * gamma * h)))
                     .collect()
             })
             .collect();
-        QaoaSpec::new(problem.num_spins(), levels, measure).with_fields(fields)
+        QaoaSpec::from_parts(
+            problem.num_spins(),
+            levels,
+            fields,
+            ParamTable::new(),
+            measure,
+        )
     }
 
     /// The parametric form of [`QaoaSpec::from_ising`]: one spec with `2p`
@@ -192,7 +338,7 @@ impl QaoaSpec {
         p: usize,
         measure: bool,
     ) -> Self {
-        let levels: Vec<(Vec<CphaseOp>, Angle)> = (0..p)
+        let levels = (0..p)
             .map(|k| {
                 let gamma = Angle::sym(ParamId(2 * k as u32));
                 let ops = problem
@@ -203,7 +349,7 @@ impl QaoaSpec {
                 (ops, Angle::sym(ParamId(2 * k as u32 + 1)))
             })
             .collect();
-        let fields: Vec<Vec<(usize, Angle)>> = (0..p)
+        let fields = (0..p)
             .map(|k| {
                 let gamma = Angle::sym(ParamId(2 * k as u32));
                 problem
@@ -215,9 +361,13 @@ impl QaoaSpec {
                     .collect()
             })
             .collect();
-        QaoaSpec::new(problem.num_spins(), levels, measure)
-            .with_fields(fields)
-            .with_params(QaoaSpec::parametric_table(p))
+        QaoaSpec::from_parts(
+            problem.num_spins(),
+            levels,
+            fields,
+            QaoaSpec::parametric_table(p),
+            measure,
+        )
     }
 
     /// Builds the spec of a QAOA-MaxCut instance: one CPHASE per problem
@@ -248,7 +398,7 @@ impl QaoaSpec {
     ///
     /// Panics if `p == 0`.
     pub fn from_maxcut_parametric(problem: &MaxCut, p: usize, measure: bool) -> Self {
-        let levels: Vec<(Vec<CphaseOp>, Angle)> = (0..p)
+        let levels = (0..p)
             .map(|k| {
                 let gamma = Angle::sym(ParamId(2 * k as u32));
                 let ops = problem
@@ -259,46 +409,63 @@ impl QaoaSpec {
                 (ops, Angle::sym(ParamId(2 * k as u32 + 1)))
             })
             .collect();
-        QaoaSpec::new(problem.num_vars(), levels, measure)
-            .with_params(QaoaSpec::parametric_table(p))
+        QaoaSpec::from_parts(
+            problem.num_vars(),
+            levels,
+            vec![Vec::new(); p],
+            QaoaSpec::parametric_table(p),
+            measure,
+        )
+    }
+
+    /// The spec's 64-bit structural fingerprint: a hash of the qubit
+    /// count, measurement flag, every level's CPHASE list and mixer
+    /// angle, every field term and the parameter table, angles
+    /// bit-exact via `f64::to_bits`. Computed once when the spec is built
+    /// and shared by its clones, so reading it is free. Equal specs have
+    /// equal fingerprints.
+    pub fn fingerprint(&self) -> u64 {
+        self.body.fingerprint
     }
 
     /// Number of logical qubits.
     pub fn num_qubits(&self) -> usize {
-        self.num_qubits
+        self.body.num_qubits
     }
 
     /// The levels: `(cost gate list, mixer angle β)` per level.
     pub fn levels(&self) -> &[(Vec<CphaseOp>, Angle)] {
-        &self.levels
+        &self.body.levels
     }
 
     /// The per-level field rotations `(qubit, angle)`.
     pub fn field_terms(&self, level: usize) -> &[(usize, Angle)] {
-        &self.fields[level]
+        &self.body.fields[level]
     }
 
     /// Whether the compiled circuit ends with measurements.
     pub fn measure(&self) -> bool {
-        self.measure
+        self.body.measure
     }
 
     /// The spec's parameter table (empty for fully bound specs).
     pub fn param_table(&self) -> &ParamTable {
-        &self.params
+        &self.body.params
     }
 
     /// Number of declared symbolic parameters.
     pub fn num_params(&self) -> usize {
-        self.params.len()
+        self.body.params.len()
     }
 
     /// Whether any angle in the spec is symbolic.
     pub fn is_parametric(&self) -> bool {
-        self.levels
+        self.body
+            .levels
             .iter()
             .any(|(ops, beta)| beta.is_sym() || ops.iter().any(|op| op.angle.is_sym()))
             || self
+                .body
                 .fields
                 .iter()
                 .any(|level| level.iter().any(|(_, a)| a.is_sym()))
@@ -311,13 +478,14 @@ impl QaoaSpec {
     ///
     /// Fails when `values` does not cover the declared parameters.
     pub fn bind(&self, values: &ParamValues) -> Result<QaoaSpec, CircuitError> {
-        if !self.params.is_empty() && values.len() != self.params.len() {
+        let body = &*self.body;
+        if !body.params.is_empty() && values.len() != body.params.len() {
             return Err(CircuitError::ParamCountMismatch {
-                expected: self.params.len(),
+                expected: body.params.len(),
                 found: values.len(),
             });
         }
-        let levels = self
+        let levels = body
             .levels
             .iter()
             .map(|(ops, beta)| {
@@ -334,7 +502,7 @@ impl QaoaSpec {
                 Ok((ops, beta.bind(values)?))
             })
             .collect::<Result<Vec<_>, CircuitError>>()?;
-        let fields = self
+        let fields = body
             .fields
             .iter()
             .map(|level| {
@@ -344,26 +512,26 @@ impl QaoaSpec {
                     .collect::<Result<Vec<_>, CircuitError>>()
             })
             .collect::<Result<Vec<_>, CircuitError>>()?;
-        Ok(QaoaSpec {
-            num_qubits: self.num_qubits,
+        Ok(QaoaSpec::from_parts(
+            body.num_qubits,
             levels,
             fields,
-            params: ParamTable::new(),
-            measure: self.measure,
-        })
+            ParamTable::new(),
+            body.measure,
+        ))
     }
 
     /// Total number of cost gates across all levels.
     pub fn total_cphase_count(&self) -> usize {
-        self.levels.iter().map(|(ops, _)| ops.len()).sum()
+        self.body.levels.iter().map(|(ops, _)| ops.len()).sum()
     }
 
     /// The *logical interaction graph*: nodes are logical qubits, edges the
     /// qubit pairs sharing a CPHASE in any level. QAIM's "logical
     /// neighbors" come from here.
     pub fn interaction_graph(&self) -> Graph {
-        let mut g = Graph::new(self.num_qubits);
-        for (ops, _) in &self.levels {
+        let mut g = Graph::new(self.body.num_qubits);
+        for (ops, _) in &self.body.levels {
             for op in ops {
                 g.add_edge(op.a, op.b)
                     .expect("operands validated at construction");
@@ -374,8 +542,8 @@ impl QaoaSpec {
 
     /// The program profile over all levels.
     pub fn profile(&self) -> ProgramProfile {
-        let mut ops_per_qubit = vec![0usize; self.num_qubits];
-        for (ops, _) in &self.levels {
+        let mut ops_per_qubit = vec![0usize; self.body.num_qubits];
+        for (ops, _) in &self.body.levels {
             for op in ops {
                 ops_per_qubit[op.a] += 1;
                 ops_per_qubit[op.b] += 1;
@@ -647,6 +815,21 @@ mod tests {
         let profile = spec.profile();
         assert_eq!(profile.ops_on(1), 4); // middle qubit: 2 edges x 2 levels
         assert_eq!(profile.moq(), 4);
+    }
+
+    /// Equality never trusts the fingerprint alone: a body forged to
+    /// collide with another still compares by its bits.
+    #[test]
+    fn equality_compares_bits_when_fingerprints_collide() {
+        let spec = toy_spec();
+        let other = QaoaSpec::new(6, vec![(vec![CphaseOp::new(1, 5, 0.3)], 0.2)], false);
+        let mut forged = SpecBody::clone(&other.body);
+        forged.fingerprint = spec.fingerprint();
+        let forged = QaoaSpec {
+            body: Arc::new(forged),
+        };
+        assert_ne!(spec, forged);
+        assert_eq!(spec, toy_spec());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use qcompile::{CancelToken, CompileError, CompiledArtifact};
 use qhw::{Calibration, HardwareContext};
 
 use crate::breaker::{BreakerDecision, BreakerTransition, CircuitBreaker, TokenBucket};
-use crate::cache::{spec_fingerprint, ArtifactCache, CacheKey, Completion, Lookup, SlotState};
+use crate::cache::{ArtifactCache, CacheKey, Completion, Lookup, SlotState};
 use crate::deadline::{BackoffConfig, InflightDeadlines, PoisonLedger, QuarantineReason};
 use crate::ops::{JournalEvent, OpsState, Stage, Waiter};
 use crate::service::{Outcome, Request, ServeError, ServiceConfig, ServiceStats};
@@ -237,7 +237,7 @@ impl AdmissionState {
         };
         let key = CacheKey::new(request.spec, request.options, self.topology_fp, self.epoch);
         let fp = key.fingerprint();
-        let spec_fp = spec_fingerprint(&key.spec);
+        let spec_fp = key.spec.fingerprint();
         self.ops.on_admit(who.req_id, who.tenant, spec_fp, fp, now);
         let mut strikes = 0;
         match self.cache.lookup(fp, &key, now) {

@@ -25,6 +25,15 @@
 //! generator's run manifest gate byte-identical in CI across 1, 2 or 8
 //! workers.
 //!
+//! # Program identity
+//!
+//! A program's identity is its bits: [`QaoaSpec`](qcompile::QaoaSpec)
+//! equality and [`spec_fingerprint`] both read angles through
+//! `f64::to_bits`, so a NaN-angle program hits like any other and `+0.0`
+//! and `-0.0` angles are two programs. A spec carries its fingerprint,
+//! computed once when it was built, and a resubmitted clone shares the
+//! cached key's body, so a hit costs O(1) in the program's size.
+//!
 //! # Example
 //!
 //! ```
