@@ -11,7 +11,9 @@
 //! 2. **heavy-hex 127q class**: a modern sparse device
 //!    ([`Topology::heavy_hex`], 129 physical qubits) compiling 40-node
 //!    ER(0.1) instances under IC — stresses the router's distance
-//!    structures at Eagle-scale qubit counts.
+//!    structures at Eagle-scale qubit counts, and its path queries: each
+//!    compile makes dozens of plateau moves and serial walks.
+//!    [`HEAVY_HEX_SPEEDUP_FLOOR`] gates the engine-level ratio there.
 //!
 //! Each job is compiled once untimed (warm-up) and then `REPS` times,
 //! keeping the minimum — the estimator least disturbed by the machine.
@@ -54,6 +56,14 @@ const REPS: usize = 3;
 /// the measured values but far above parity.
 const SPEEDUP_FLOOR: f64 = 1.5;
 
+/// Minimum acceptable median live-vs-frozen IC engine speedup on the
+/// heavy-hex workload. The frozen engine re-runs an `O(n^2)` linear-scan
+/// Dijkstra for every path query, the live one walks a table built once
+/// per metric; CI's traced quick mode reads ~11-12x here and a live
+/// engine that searches per query reads ~2.3x, so a return to per-query
+/// search fails on any host.
+const HEAVY_HEX_SPEEDUP_FLOOR: f64 = 5.0;
+
 /// One timed job: warm-up compile, then `REPS` timed compiles of the
 /// identical (spec, options, seed) triple; returns the minimum wall
 /// time in microseconds plus the compiled depth/SWAP count.
@@ -81,6 +91,52 @@ fn time_compile(
         );
     }
     (best, compiled.depth() as f64, compiled.swap_count() as f64)
+}
+
+/// Live-vs-frozen IC engine speedup per `(spec, seed)` job: mapping is
+/// done once outside the timed region, the two engines alternate `REPS`
+/// times on identical inputs and each keeps its minimum, so the ratio
+/// isolates routing + layer formation from QAIM and lowering.
+fn engine_speedups(topo: &Topology, metric: &RoutingMetric, jobs: &[(QaoaSpec, u64)]) -> Vec<f64> {
+    let mut speedups = Vec::new();
+    for (spec, seed) in jobs {
+        let layout = mapping::qaim(spec, topo);
+        let mut live_us = f64::INFINITY;
+        let mut frozen_us = f64::INFINITY;
+        for _ in 0..REPS {
+            let start = Instant::now();
+            let a = ic::try_compile_incremental_with(
+                spec,
+                topo,
+                layout.clone(),
+                metric,
+                None,
+                true,
+                &mut StdRng::seed_from_u64(*seed),
+            )
+            .expect("IC workloads compile");
+            live_us = live_us.min(start.elapsed().as_secs_f64() * 1e6);
+            let start = Instant::now();
+            let b = reference::try_compile_incremental_with(
+                spec,
+                topo,
+                layout.clone(),
+                metric,
+                None,
+                true,
+                &mut StdRng::seed_from_u64(*seed),
+            )
+            .expect("IC workloads compile");
+            frozen_us = frozen_us.min(start.elapsed().as_secs_f64() * 1e6);
+            assert_eq!(
+                a.circuit.instructions(),
+                b.circuit.instructions(),
+                "live engine must stay byte-identical to the frozen reference"
+            );
+        }
+        speedups.push(frozen_us / live_us);
+    }
+    speedups
 }
 
 fn main() {
@@ -136,53 +192,19 @@ fn main() {
     }
 
     // -- Engine speedup: live IC vs frozen reference ---------------------
-    // Same fig09 IC workload, measured at the engine level (mapping done
-    // once outside the timed region) so the ratio isolates the routing +
-    // layer-formation rewrite from QAIM and lowering.
+    // Same fig09 IC workload, measured at the engine level.
     let topo = Topology::ibmq_20_tokyo();
     let metric = RoutingMetric::hops(&topo);
-    let mut speedups = Vec::new();
-    for family in &families {
-        for (gi, g) in instances(*family, n, count, 9001).into_iter().enumerate() {
-            let spec = bench::compilation_spec(g, true);
-            let seed = 9200 + gi as u64;
-            let layout = mapping::qaim(&spec, &topo);
-            let mut live_us = f64::INFINITY;
-            let mut frozen_us = f64::INFINITY;
-            for _ in 0..REPS {
-                let start = Instant::now();
-                let a = ic::try_compile_incremental_with(
-                    &spec,
-                    &topo,
-                    layout.clone(),
-                    &metric,
-                    None,
-                    true,
-                    &mut StdRng::seed_from_u64(seed),
-                )
-                .expect("fig09 IC compiles");
-                live_us = live_us.min(start.elapsed().as_secs_f64() * 1e6);
-                let start = Instant::now();
-                let b = reference::try_compile_incremental_with(
-                    &spec,
-                    &topo,
-                    layout.clone(),
-                    &metric,
-                    None,
-                    true,
-                    &mut StdRng::seed_from_u64(seed),
-                )
-                .expect("fig09 IC compiles");
-                frozen_us = frozen_us.min(start.elapsed().as_secs_f64() * 1e6);
-                assert_eq!(
-                    a.circuit.instructions(),
-                    b.circuit.instructions(),
-                    "live engine must stay byte-identical to the frozen reference"
-                );
-            }
-            speedups.push(frozen_us / live_us);
-        }
-    }
+    let jobs: Vec<(QaoaSpec, u64)> = families
+        .iter()
+        .flat_map(|family| {
+            instances(*family, n, count, 9001)
+                .into_iter()
+                .enumerate()
+                .map(|(gi, g)| (bench::compilation_spec(g, true), 9200 + gi as u64))
+        })
+        .collect();
+    let speedups = engine_speedups(&topo, &metric, &jobs);
     let engine_speedup = median(&speedups);
     println!("\nfig09 IC engine speedup vs frozen reference: {engine_speedup:.1}x (floor {SPEEDUP_FLOOR}x)");
     report.add("fig09/ic/engine_speedup", &speedups);
@@ -226,6 +248,35 @@ fn main() {
     report.add("heavy_hex/ic/compile_us", &times_us);
     report.add("heavy_hex/ic/depth", &depths);
     report.add("heavy_hex/ic/swaps", &swaps);
+
+    // The same interleaved engine ratio on heavy-hex, over at least four
+    // instances. It runs with the recorder paused: the frozen engine
+    // records nothing, and the committed manifest's counters must not
+    // depend on this comparison.
+    let hh_topo = hh_context.topology();
+    let jobs: Vec<(QaoaSpec, u64)> =
+        instances(Family::ErdosRenyi(0.1), hh_n, hh_count.max(4), 41_001)
+            .into_iter()
+            .enumerate()
+            .map(|(gi, g)| (bench::compilation_spec(g, true), 41_100 + gi as u64))
+            .collect();
+    let traced = qtrace::enabled();
+    if traced {
+        qtrace::disable();
+    }
+    let speedups = engine_speedups(hh_topo, &RoutingMetric::hops(hh_topo), &jobs);
+    if traced {
+        qtrace::enable();
+    }
+    let hh_speedup = median(&speedups);
+    println!(
+        "heavy-hex IC engine speedup vs frozen reference: {hh_speedup:.1}x (floor {HEAVY_HEX_SPEEDUP_FLOOR}x)"
+    );
+    report.add("heavy_hex/ic/engine_speedup", &speedups);
+    assert!(
+        hh_speedup >= HEAVY_HEX_SPEEDUP_FLOOR,
+        "heavy-hex engine speedup {hh_speedup:.2}x fell below the {HEAVY_HEX_SPEEDUP_FLOOR}x floor"
+    );
 
     report.save_and_announce();
     cli.write_manifest();

@@ -242,19 +242,10 @@ pub fn try_compile_incremental_with<R: Rng + ?Sized>(
         let dist_flat = metric.dist_flat();
         let n_table = metric.num_physical();
         let unit_metric = !metric.is_variation_aware();
-        // Topology-wide hop bound, hoisted so the counting sort skips a
-        // per-call max scan. Unit-metric keys are exactly these hop counts.
-        let max_hops = if unit_metric {
-            metric
-                .hops_flat()
-                .iter()
-                .copied()
-                .filter(|&h| h != usize::MAX)
-                .max()
-                .unwrap_or(0)
-        } else {
-            0
-        };
+        // Topology-wide hop bound, cached with the metric's tables so the
+        // counting sort sizes its buckets without an `O(n^2)` scan per
+        // compile. Unit-metric keys are exactly these hop counts.
+        let max_hops = metric.hop_diameter();
 
         let mut layout = initial_layout;
         let mut out = Circuit::new(n_physical);

@@ -10,7 +10,9 @@
 //! metric × packing-limit combination is a bug in the rewrite, not a
 //! "small quality difference".
 //!
-//! The plain tests at the bottom pin the same property one level up:
+//! The plain tests at the bottom pin the same property on the 129-qubit
+//! heavy-hex device, where the router walks the most paths, and one
+//! level up:
 //! whole-pipeline runs (including the degradation ladder, the shared
 //! context cache and multi-worker batches) are byte-identical across
 //! repetition, entry point and worker count, down to the Explain JSON.
@@ -21,6 +23,7 @@ use qcompile::{
     compile_batch, ic, ip, mapping, try_compile_artifact_with_context, BatchJob, CompileOptions,
     CompiledArtifact, CphaseOp, QaoaSpec,
 };
+use qgraph::shortest_path::path_tree_builds_on_this_thread;
 use qhw::{Calibration, HardwareContext, Topology};
 use qroute::{route_append, try_route, Layout, RoutingMetric};
 use rand::rngs::StdRng;
@@ -181,6 +184,66 @@ proptest! {
         let live = ip::pack_layers(13, &ops, limit, &mut StdRng::seed_from_u64(seed));
         let frozen = reference::pack_layers(13, &ops, limit, &mut StdRng::seed_from_u64(seed));
         prop_assert_eq!(live, frozen);
+    }
+}
+
+/// The router's path queries (plateau moves and serial walks) read a
+/// table built once per metric. The properties above rarely reach them:
+/// their programs have at most 14 logical qubits on small devices. On
+/// `heavy_hex(6, 7)` a 40-node ER(0.1) program makes dozens of them per
+/// compile, so these fixed-seed cases pin the table-driven engine against
+/// the frozen one where paths decide the most: IC, and VIC under a random
+/// calibration and under a uniform one, where every SWAP costs the same
+/// and only the ordering rule chooses among equal paths.
+#[test]
+fn heavy_hex_compiles_match_frozen_reference() {
+    let topo = Topology::heavy_hex(6, 7);
+    let mut cal_rng = StdRng::seed_from_u64(0x4E4E);
+    let random = Calibration::random_normal(&topo, 1e-2, 0.5e-2, &mut cal_rng);
+    let uniform = Calibration::uniform(&topo, 0.02, 0.001, 0.02);
+    let contexts = [
+        ("ic", HardwareContext::new(topo.clone()), false),
+        (
+            "vic-random",
+            HardwareContext::with_calibration(topo.clone(), random),
+            true,
+        ),
+        (
+            "vic-uniform",
+            HardwareContext::with_calibration(topo.clone(), uniform),
+            true,
+        ),
+    ];
+    for (name, context, variation_aware) in &contexts {
+        let metric = RoutingMetric::from_context(context, *variation_aware).unwrap();
+        let builds = path_tree_builds_on_this_thread();
+        for seed in 0..4u64 {
+            let spec = er_spec(40, 0.1, 4100 + seed, true);
+            let layout = mapping::qaim(&spec, &topo);
+            let live = ic::try_compile_incremental_with(
+                &spec,
+                &topo,
+                layout.clone(),
+                &metric,
+                None,
+                true,
+                &mut StdRng::seed_from_u64(seed),
+            )
+            .unwrap();
+            let frozen = reference::try_compile_incremental_with(
+                &spec,
+                &topo,
+                layout,
+                &metric,
+                None,
+                true,
+                &mut StdRng::seed_from_u64(seed),
+            )
+            .unwrap();
+            assert_incremental_eq(&live, &frozen);
+        }
+        // The engine did query paths, through one table built once.
+        assert_eq!(path_tree_builds_on_this_thread() - builds, 1, "{name}");
     }
 }
 

@@ -51,6 +51,28 @@ fn count_apsp() {
     THREAD_APSP_INVOCATIONS.with(|c| c.set(c.get() + 1));
 }
 
+/// Process-wide count of [`ShortestPathTrees::build`] calls: the
+/// companion of [`APSP_INVOCATIONS`] for the per-metric path tables a
+/// hardware context builds on first use.
+static PATH_TREE_BUILDS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static THREAD_PATH_TREE_BUILDS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The number of [`ShortestPathTrees`] built since process start, on any
+/// thread. Compare two snapshots to count the builds a region of code
+/// (say, a multi-worker batch) triggered.
+pub fn path_tree_builds() -> usize {
+    PATH_TREE_BUILDS.load(Ordering::Relaxed)
+}
+
+/// [`path_tree_builds`] counting only the builds made on the calling
+/// thread.
+pub fn path_tree_builds_on_this_thread() -> usize {
+    THREAD_PATH_TREE_BUILDS.with(Cell::get)
+}
+
 /// Dense all-pairs hop-distance matrix produced by [`floyd_warshall`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceMatrix {
@@ -138,6 +160,130 @@ impl WeightedDistanceMatrix {
     /// Number of nodes the matrix covers.
     pub fn node_count(&self) -> usize {
         self.n
+    }
+}
+
+/// One shortest-path tree per source node, stored as a predecessor table:
+/// a path query walks a row of it instead of re-running a search.
+///
+/// The tree from `from` is exactly what a linear-scan Dijkstra from
+/// `from` would leave in its predecessor array: repeatedly settle the
+/// unsettled node of least tentative distance (ordered by
+/// [`f64::total_cmp`]), the lowest index first among equals, and relax a
+/// neighbor `w` of the settled `u` only when
+/// `dist[u] + cost(u, w) < dist[w] - 1e-9`. A search that stops once its
+/// target settles walks the same predecessors, so every query answers
+/// with the path such a search returns.
+#[derive(Debug)]
+pub struct ShortestPathTrees {
+    n: usize,
+    /// `prev[from * n + v]`: `v`'s predecessor on the `from → v` path;
+    /// [`NO_PREV`] for `v == from` and for unreachable `v`.
+    prev: Vec<u32>,
+}
+
+const NO_PREV: u32 = u32::MAX;
+
+/// `x`'s position in [`f64::total_cmp`] order as an unsigned key.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+impl ShortestPathTrees {
+    /// Builds the trees from every node of the graph whose hop-distance
+    /// matrix is `hops` (its edges are the pairs at distance 1), with edge
+    /// costs `cost(u, w)` (non-negative; `f64::INFINITY` or NaN never
+    /// relaxes, so either marks a pair to route around). One binary-heap
+    /// Dijkstra per source, `O(n · m log n)` in all, and counted by
+    /// [`path_tree_builds`].
+    ///
+    /// The heap pops `(total_cmp key, index)` pairs, so the first live
+    /// entry is the node a linear scan would settle next: an unsettled
+    /// node's newest entry carries its current distance, and every older
+    /// entry of it is strictly larger.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has `u32::MAX` nodes or more.
+    pub fn build(hops: &DistanceMatrix, cost: impl Fn(usize, usize) -> f64) -> Self {
+        PATH_TREE_BUILDS.fetch_add(1, Ordering::Relaxed);
+        THREAD_PATH_TREE_BUILDS.with(|c| c.set(c.get() + 1));
+        let n = hops.node_count();
+        assert!(
+            n < NO_PREV as usize,
+            "{n} nodes overflow the predecessor table"
+        );
+        // CSR adjacency with each directed edge's cost evaluated once, not
+        // once per source.
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut adjacent = Vec::new();
+        offsets.push(0);
+        for u in 0..n {
+            adjacent.extend(
+                (0..n)
+                    .filter(|&w| hops.dist[u * n + w] == 1)
+                    .map(|w| (w, cost(u, w))),
+            );
+            offsets.push(adjacent.len());
+        }
+        let mut prev = vec![NO_PREV; n * n];
+        let mut dist = vec![f64::INFINITY; n];
+        let mut settled = vec![false; n];
+        let mut heap = std::collections::BinaryHeap::new();
+        for from in 0..n {
+            let tree = &mut prev[from * n..(from + 1) * n];
+            dist.fill(f64::INFINITY);
+            settled.fill(false);
+            dist[from] = 0.0;
+            heap.push(std::cmp::Reverse((total_order_key(0.0), from)));
+            while let Some(std::cmp::Reverse((_, u))) = heap.pop() {
+                if settled[u] {
+                    continue;
+                }
+                settled[u] = true;
+                for &(w, edge_cost) in &adjacent[offsets[u]..offsets[u + 1]] {
+                    if settled[w] {
+                        continue;
+                    }
+                    let through = dist[u] + edge_cost;
+                    if through < dist[w] - 1e-9 {
+                        dist[w] = through;
+                        tree[w] = u as u32;
+                        heap.push(std::cmp::Reverse((total_order_key(through), w)));
+                    }
+                }
+            }
+        }
+        ShortestPathTrees { n, prev }
+    }
+
+    /// Leaves the node sequence from `from` to `to` (both inclusive) in
+    /// `path` and returns `true`, or returns `false` when `to` is
+    /// unreachable from `from`. Walks `from`'s tree back from `to`: no
+    /// search, no allocation beyond `path`'s own growth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` or `to` is out of range.
+    pub fn path_into(&self, from: usize, to: usize, path: &mut Vec<usize>) -> bool {
+        let tree = &self.prev[from * self.n..(from + 1) * self.n];
+        path.clear();
+        path.push(to);
+        let mut cur = to;
+        while cur != from {
+            match tree[cur] {
+                NO_PREV => return false,
+                p => cur = p as usize,
+            }
+            path.push(cur);
+        }
+        path.reverse();
+        true
     }
 }
 
@@ -384,6 +530,34 @@ mod tests {
         }
         // trivial path
         assert_eq!(shortest_path(&g, 4, 4), Some(vec![4]));
+    }
+
+    #[test]
+    fn path_trees_walk_lowest_index_shortest_paths() {
+        // A 4-cycle 0-1-2-3-0 plus an isolated node 4: both 0→2 paths tie
+        // at two hops, and the lower-index middle node (1) settles first.
+        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
+        let before = path_tree_builds_on_this_thread();
+        let trees = ShortestPathTrees::build(&floyd_warshall(&g), |_, _| 1.0);
+        assert_eq!(path_tree_builds_on_this_thread() - before, 1);
+        let mut path = Vec::new();
+        assert!(trees.path_into(0, 2, &mut path));
+        assert_eq!(path, [0, 1, 2]);
+        assert!(trees.path_into(2, 0, &mut path));
+        assert_eq!(path, [2, 1, 0]);
+        assert!(trees.path_into(3, 3, &mut path));
+        assert_eq!(path, [3]);
+        assert!(!trees.path_into(0, 4, &mut path));
+        // A costlier edge diverts the tie to the other side.
+        let trees = ShortestPathTrees::build(&floyd_warshall(&g), |a, b| {
+            if (a.min(b), a.max(b)) == (0, 1) {
+                2.0
+            } else {
+                1.0
+            }
+        });
+        assert!(trees.path_into(0, 2, &mut path));
+        assert_eq!(path, [0, 3, 2]);
     }
 
     #[test]

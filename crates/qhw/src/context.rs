@@ -10,14 +10,22 @@
 //! connectivity-strength profile — each computed exactly once at
 //! construction and shared from then on (the matrices behind [`Arc`], so
 //! metrics and parallel batch workers clone pointers, not `O(n^2)` data).
+//! The router's shortest-path trees, one table per routing metric, are
+//! shared the same way but built on first use, so a context that never
+//! routes a path never pays for them.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use qgraph::shortest_path::{DistanceMatrix, WeightedDistanceMatrix};
+use qgraph::shortest_path::{DistanceMatrix, ShortestPathTrees, WeightedDistanceMatrix};
 
 use crate::{Calibration, CalibrationError, HardwareProfile, Topology};
+
+/// A shortest-path table that is built on first use and then shared by
+/// every holder of the cell: a context, its clones and every routing
+/// metric made from it.
+pub type PathTreeCell = Arc<OnceLock<ShortestPathTrees>>;
 
 /// Immutable bundle of a hardware target and its derived compile-time
 /// artifacts, built once per `(topology, calibration)` pair.
@@ -25,7 +33,9 @@ use crate::{Calibration, CalibrationError, HardwareProfile, Topology};
 /// Construction runs Floyd–Warshall once for the hop-distance matrix and
 /// (when calibrated) once more for the reliability-weighted matrix —
 /// `qgraph::shortest_path::apsp_invocations` observes exactly these runs,
-/// and every later consumer reads the cached matrices.
+/// and every later consumer reads the cached matrices. The one artifact
+/// built later is each routing metric's shortest-path table, on its first
+/// path query ([`HardwareContext::hop_paths`]).
 ///
 /// # Examples
 ///
@@ -51,6 +61,10 @@ pub struct HardwareContext {
     edge_weight: Option<Arc<Vec<f64>>>,
     profile: HardwareProfile,
     components: usize,
+    hop_diameter: usize,
+    hop_paths: PathTreeCell,
+    /// Present exactly when `weighted` is: the reliability metric's trees.
+    reliability_paths: Option<PathTreeCell>,
 }
 
 /// Builds the dense `1 / success` per-edge weight table the
@@ -106,12 +120,15 @@ impl HardwareContext {
             topology,
             calibration: None,
             calibration_issue: None,
+            hop_diameter: distances.diameter().unwrap_or(0),
             distances,
             distances_f64,
             weighted: None,
             edge_weight: None,
             profile,
             components,
+            hop_paths: PathTreeCell::default(),
+            reliability_paths: None,
         }
     }
 
@@ -144,12 +161,15 @@ impl HardwareContext {
             topology,
             calibration: Some(calibration),
             calibration_issue,
+            hop_diameter: distances.diameter().unwrap_or(0),
             distances,
             distances_f64,
+            reliability_paths: weighted.as_ref().map(|_| PathTreeCell::default()),
             weighted,
             edge_weight,
             profile,
             components,
+            hop_paths: PathTreeCell::default(),
         }
     }
 
@@ -264,6 +284,27 @@ impl HardwareContext {
     /// `None` without usable calibration.
     pub fn edge_weights(&self) -> Option<&Arc<Vec<f64>>> {
         self.edge_weight.as_ref()
+    }
+
+    /// The largest finite hop distance between two physical qubits (0 when
+    /// no two are connected), cached at construction: IC's counting sort
+    /// sizes its buckets with it.
+    pub fn hop_diameter(&self) -> usize {
+        self.hop_diameter
+    }
+
+    /// The hop metric's shortest-path trees. The cell starts empty; the
+    /// first path query of a routing metric made from this context fills
+    /// it, and the context, its clones and every such metric share the one
+    /// table from then on.
+    pub fn hop_paths(&self) -> &PathTreeCell {
+        &self.hop_paths
+    }
+
+    /// [`HardwareContext::hop_paths`] for the reliability metric; `None`
+    /// without usable calibration.
+    pub fn reliability_paths(&self) -> Option<&PathTreeCell> {
+        self.reliability_paths.as_ref()
     }
 
     /// The cached connectivity-strength profile (Figure 3(b)).

@@ -36,6 +36,6 @@ mod profile;
 mod topology;
 
 pub use calibration::{Calibration, CalibrationError, MAX_ERROR, MIN_ERROR};
-pub use context::HardwareContext;
+pub use context::{HardwareContext, PathTreeCell};
 pub use profile::HardwareProfile;
 pub use topology::Topology;

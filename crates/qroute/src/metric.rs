@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
-use qgraph::shortest_path::{DistanceMatrix, WeightedDistanceMatrix};
-use qhw::{Calibration, HardwareContext, Topology};
+use qgraph::shortest_path::{DistanceMatrix, ShortestPathTrees, WeightedDistanceMatrix};
+use qhw::{Calibration, HardwareContext, PathTreeCell, Topology};
 
 /// The distance notion the router (and IC/VIC layer formation) uses.
 ///
@@ -20,7 +20,10 @@ use qhw::{Calibration, HardwareContext, Topology};
 /// The distance matrices are held behind [`Arc`]: building a metric from a
 /// [`HardwareContext`] ([`RoutingMetric::from_context`]) shares the
 /// context's cached matrices instead of re-running Floyd–Warshall, and
-/// cloning a metric clones pointers, not `O(n^2)` data.
+/// cloning a metric clones pointers, not `O(n^2)` data. The same holds
+/// for the metric's shortest-path table ([`RoutingMetric::shortest_paths`]),
+/// which is built on the first path query and shared with the context
+/// from then on.
 #[derive(Debug, Clone)]
 pub struct RoutingMetric {
     hops: Arc<DistanceMatrix>,
@@ -31,6 +34,8 @@ pub struct RoutingMetric {
     /// the router's candidate-evaluation loop.
     hops_f64: Arc<Vec<f64>>,
     n: usize,
+    hop_diameter: usize,
+    paths: PathTreeCell,
     weighted: Option<Weighted>,
 }
 
@@ -64,9 +69,11 @@ impl RoutingMetric {
         let hops = Arc::new(topology.distances());
         let hops_f64 = Arc::new(hops.to_f64_flat());
         RoutingMetric {
+            hop_diameter: hops.diameter().unwrap_or(0),
             hops,
             hops_f64,
             n: topology.num_qubits(),
+            paths: PathTreeCell::default(),
             weighted: None,
         }
     }
@@ -81,9 +88,11 @@ impl RoutingMetric {
         let hops = Arc::new(topology.distances());
         let hops_f64 = Arc::new(hops.to_f64_flat());
         RoutingMetric {
+            hop_diameter: hops.diameter().unwrap_or(0),
             hops,
             hops_f64,
             n,
+            paths: PathTreeCell::default(),
             weighted: Some(Weighted {
                 distances: Arc::new(topology.weighted_distances(calibration)),
                 edge_weight: Arc::new(edge_weights(topology, calibration)),
@@ -92,28 +101,32 @@ impl RoutingMetric {
         }
     }
 
-    /// A metric sharing `context`'s cached distance matrices — no
-    /// shortest-path recomputation.
+    /// A metric sharing `context`'s cached distance matrices and its
+    /// shortest-path table for this metric — no shortest-path
+    /// recomputation, and the table is built at most once per context.
     ///
     /// With `variation_aware` set, the context must carry calibration
     /// data (and therefore a weighted matrix); returns `None` otherwise.
     pub fn from_context(context: &HardwareContext, variation_aware: bool) -> Option<Self> {
-        let weighted = if variation_aware {
-            Some(Weighted {
+        let (weighted, paths) = if variation_aware {
+            let weighted = Weighted {
                 distances: Arc::clone(context.weighted_distances()?),
                 // The context caches the dense edge-weight table alongside
                 // the weighted matrix, so metric construction in the batch
                 // and retry hot paths allocates nothing O(n^2).
                 edge_weight: Arc::clone(context.edge_weights()?),
                 n: context.num_qubits(),
-            })
+            };
+            (Some(weighted), context.reliability_paths()?)
         } else {
-            None
+            (None, context.hop_paths())
         };
         Some(RoutingMetric {
             hops: Arc::clone(context.distances()),
             hops_f64: Arc::clone(context.distances_f64()),
             n: context.num_qubits(),
+            hop_diameter: context.hop_diameter(),
+            paths: Arc::clone(paths),
             weighted,
         })
     }
@@ -152,6 +165,24 @@ impl RoutingMetric {
     /// variation awareness. `usize::MAX` when disconnected.
     pub fn hop_dist(&self, a: usize, b: usize) -> usize {
         self.hops.flat()[a * self.n + b]
+    }
+
+    /// The largest finite hop distance between two physical qubits (0 when
+    /// no two are connected): cached by the context, or computed when a
+    /// metric is built without one.
+    pub fn hop_diameter(&self) -> usize {
+        self.hop_diameter
+    }
+
+    /// The cheapest SWAP paths under [`RoutingMetric::swap_cost`], one tree
+    /// per source qubit. Built on the first call — a metric from
+    /// [`RoutingMetric::from_context`] shares the context's table, so a
+    /// context pays for it once however many metrics, clones and batch
+    /// workers query it; a metric built by [`RoutingMetric::hops`] or
+    /// [`RoutingMetric::reliability`] builds its own.
+    pub fn shortest_paths(&self) -> &ShortestPathTrees {
+        self.paths
+            .get_or_init(|| ShortestPathTrees::build(&self.hops, |a, b| self.swap_cost(a, b)))
     }
 
     /// The cost of traversing the single coupling edge `(a, b)` (1 for

@@ -50,7 +50,7 @@ pub struct AppendStats {
 
 /// Reusable per-thread routing scratch: the ASAP layer partition, the
 /// per-layer two-qubit staging buffer, every buffer the layer router and
-/// its Dijkstra need, and the telemetry staging vectors. One routing call
+/// its path walks need, and the telemetry staging vectors. One routing call
 /// in steady state allocates nothing — the pre-rewrite router allocated
 /// `O(layers · descent-steps)` vectors per call, which dominated the
 /// compile hot path's allocator traffic.
@@ -73,17 +73,21 @@ struct LayerRouteBufs {
     /// physical qubit hosts at most one endpoint — the flat array replaces
     /// the old `Vec<Vec<usize>>` gates-on table.
     gate_at: Vec<usize>,
+    /// Physical qubit → the other endpoint of its gate, or the qubit
+    /// itself when it hosts none.
+    partner: Vec<usize>,
+    /// Physical qubit → its gate's current hop distance, or 1 when it
+    /// hosts none. With `partner`, a candidate SWAP's hop delta is two
+    /// table reads: the empty-qubit defaults make an empty neighbor's
+    /// term `hop(e, w) - 1 = 0` without a branch.
+    hops_at: Vec<i64>,
     /// Per-gate current physical endpoints, refreshed each descent step.
     pairs: Vec<(usize, usize)>,
-    /// Per-gate current metric distances (hop and weighted), refreshed
-    /// with `pairs`: candidate deltas subtract these instead of looking
-    /// the unchanged "before" distance up again per candidate.
-    cur_hops: Vec<i64>,
+    /// Per-gate current weighted distances, refreshed with `pairs`:
+    /// candidate deltas subtract these instead of looking the unchanged
+    /// "before" distance up again per candidate.
     cur_dist: Vec<f64>,
     unsat: Vec<(usize, usize)>,
-    dist: Vec<f64>,
-    prev: Vec<usize>,
-    visited: Vec<bool>,
     path: Vec<usize>,
     serial: Vec<Instruction>,
 }
@@ -368,19 +372,23 @@ fn route_layer(
     // Per-gate descent state, maintained incrementally: a swap moves
     // exactly two physical qubits, so only the (at most two) gates with
     // an operand on them change — the disjointness invariant means at
-    // most one gate per endpoint. `pairs`/`cur_hops`/`cur_dist` hold each
-    // gate's current operand homes and their table distances (the same
-    // table reads a full per-step rebuild would perform, so the values —
-    // including the VIC floats — are bit-identical to recomputing).
+    // most one gate per endpoint. `pairs`/`cur_dist` (per gate) and
+    // `partner`/`hops_at` (per physical qubit) hold each gate's current
+    // operand homes and their table distances (the same table reads a
+    // full per-step rebuild would perform, so the values — including the
+    // VIC floats — are bit-identical to recomputing).
     bufs.gate_at.clear();
     bufs.gate_at.resize(n, usize::MAX);
-    bufs.cur_hops.clear();
+    bufs.partner.clear();
+    bufs.partner.extend(0..n);
+    bufs.hops_at.clear();
+    bufs.hops_at.resize(n, 1);
     bufs.cur_dist.clear();
     for gi in 0..bufs.pairs.len() {
         let (pa, pb) = bufs.pairs[gi];
         bufs.gate_at[pa] = gi;
         bufs.gate_at[pb] = gi;
-        bufs.cur_hops.push(hops_flat[pa * n + pb] as i64);
+        seat_gate(bufs, hops_flat, n, pa, pb);
         bufs.cur_dist.push(dist_flat[pa * n + pb]);
     }
     // The descent potential is measured in hops: each improving swap
@@ -388,94 +396,15 @@ fn route_layer(
     // terminates within the initial total hop distance. Weighted distances
     // only break ties, steering equal-hop choices toward reliable
     // couplings for the variation-aware metric.
+    let unit_metric = !metric.is_variation_aware();
     loop {
-        // For the unit metric, `dist` IS the hop count as `f64`: every
-        // weighted delta is an exact small integer, so the reference
-        // comparison (`dw' < dw - 1e-12`, `|dw' - dw| <= 1e-12`) is
-        // *exactly* the integer comparison on `delta_hops` — the epsilons
-        // can never flip an outcome when all differences are 0 or >= 1.
-        // The specialized loop below therefore takes identical decisions
-        // while skipping the float accumulation entirely (half the table
-        // lookups of the general form); the variation-aware branch keeps
-        // the float sums, in the reference's accumulation order, so VIC
-        // tie-breaks replay bit-for-bit.
-        let unit_metric = !metric.is_variation_aware();
-        let mut best: Option<(i64, f64, usize, usize)> = None;
-        for &(pa, pb) in &bufs.unsat {
-            for endpoint in [pa, pb] {
-                for &w in topology.neighbors(endpoint) {
-                    let mut delta_hops: i64 = 0;
-                    let mut delta_weighted = 0.0;
-                    // Accumulation order matches the old gates-on chain
-                    // (endpoint's gate, then w's distinct gate), and each
-                    // branch indexes the exact matrix cell the reference's
-                    // operand-relocation form reads, so the float sums —
-                    // and therefore VIC tie-breaks — are bit-identical.
-                    // The "before" distances are the maintained per-gate
-                    // values: the same table reads the reference performs,
-                    // just not repeated per candidate.
-                    let g0 = bufs.gate_at[endpoint];
-                    let g1 = bufs.gate_at[w];
-                    if g0 != usize::MAX {
-                        let (a0, b0) = bufs.pairs[g0];
-                        // A gate on (endpoint, w) itself keeps its distance
-                        // under the swap (the matrix is symmetric), adding
-                        // exactly zero — skip it.
-                        let cell = if a0 == endpoint {
-                            if b0 == w {
-                                usize::MAX
-                            } else {
-                                w * n + b0
-                            }
-                        } else if a0 == w {
-                            usize::MAX
-                        } else {
-                            a0 * n + w
-                        };
-                        if cell != usize::MAX {
-                            delta_hops += hops_flat[cell] as i64 - bufs.cur_hops[g0];
-                            if !unit_metric {
-                                delta_weighted += dist_flat[cell] - bufs.cur_dist[g0];
-                            }
-                        }
-                    }
-                    if g1 != usize::MAX && g1 != g0 {
-                        // `w`'s gate: its other operand is neither endpoint
-                        // nor `w` (distinct disjoint gates), so only the
-                        // `w` operand relocates.
-                        let (a1, b1) = bufs.pairs[g1];
-                        let cell = if a1 == w {
-                            endpoint * n + b1
-                        } else {
-                            a1 * n + endpoint
-                        };
-                        delta_hops += hops_flat[cell] as i64 - bufs.cur_hops[g1];
-                        if !unit_metric {
-                            delta_weighted += dist_flat[cell] - bufs.cur_dist[g1];
-                        }
-                    }
-                    let better = match best {
-                        Some((dh, dw, be, bw)) => {
-                            if unit_metric {
-                                (delta_hops, endpoint, w) < (dh, be, bw)
-                            } else {
-                                delta_hops < dh
-                                    || (delta_hops == dh
-                                        && (delta_weighted < dw - 1e-12
-                                            || ((delta_weighted - dw).abs() <= 1e-12
-                                                && (endpoint, w) < (be, bw))))
-                            }
-                        }
-                        None => true,
-                    };
-                    if better {
-                        best = Some((delta_hops, delta_weighted, endpoint, w));
-                    }
-                }
-            }
-        }
+        let best = if unit_metric {
+            best_unit_swap(bufs, topology, hops_flat, n)
+        } else {
+            best_weighted_swap(bufs, topology, hops_flat, dist_flat, n)
+        };
         match best {
-            Some((delta_hops, _, e, w)) if delta_hops < 0 => {
+            Some((delta_hops, e, w)) if delta_hops < 0 => {
                 emit(out, Instruction::two(qcircuit::Gate::Swap, e, w));
                 layout.swap_physical(e, w);
                 apply_swap_to_gates(bufs, hops_flat, dist_flat, n, e, w);
@@ -490,18 +419,15 @@ fn route_layer(
                     .iter()
                     .max_by(|x, y| dist_flat[x.0 * n + x.1].total_cmp(&dist_flat[y.0 * n + y.1]))
                     .expect("unsat is non-empty");
-                if !cheapest_path_into(topology, metric, pa, pb, None, bufs) {
+                if !metric.shortest_paths().path_into(pa, pb, &mut bufs.path) {
                     return Err(RouteError::Disconnected {
                         a: pa,
                         b: pb,
                         topology: topology.name().to_owned(),
                     });
                 }
-                emit(
-                    out,
-                    Instruction::two(qcircuit::Gate::Swap, bufs.path[0], bufs.path[1]),
-                );
                 let (e, w) = (bufs.path[0], bufs.path[1]);
+                emit(out, Instruction::two(qcircuit::Gate::Swap, e, w));
                 layout.swap_physical(e, w);
                 apply_swap_to_gates(bufs, hops_flat, dist_flat, n, e, w);
                 swap_count += 1;
@@ -546,7 +472,7 @@ fn route_layer(
         };
         let pa = layout.phys(gate.q0());
         let pb = layout.phys(gate.q1());
-        if !cheapest_path_into(topology, metric, pa, pb, None, bufs) {
+        if !metric.shortest_paths().path_into(pa, pb, &mut bufs.path) {
             return Err(RouteError::Disconnected {
                 a: pa,
                 b: pb,
@@ -558,12 +484,166 @@ fn route_layer(
     Ok(swap_count)
 }
 
-/// Applies the physical swap `(e, w)` to [`route_layer`]'s per-gate
-/// descent state: rewrites the operand pairs of the (at most two) gates
-/// touching `e` or `w`, refreshes their cached distances with the same
-/// table reads a full per-step rebuild would perform, and swaps the
-/// occupancy entries. Every other gate's state is untouched — a swap
-/// moves exactly two physical qubits.
+/// Width of one qubit field in a packed candidate key. A hop table over
+/// 2^24 qubits would hold 2^48 cells, so every routable device fits.
+const KEY_QUBIT_BITS: u32 = 24;
+/// Offset that makes a hop delta non-negative in its 16-bit key field.
+/// One SWAP moves each of at most two gates by at most one hop, so
+/// deltas lie in `-2..=2`.
+const KEY_DELTA_BIAS: i64 = 1 << 15;
+
+/// Packs a unit-metric candidate so that `u64` order is the
+/// lexicographic order of `(delta_hops, endpoint, w)`.
+fn candidate_key(delta_hops: i64, endpoint: usize, w: usize) -> u64 {
+    debug_assert!(delta_hops.abs() < KEY_DELTA_BIAS);
+    debug_assert!(endpoint >> KEY_QUBIT_BITS == 0 && w >> KEY_QUBIT_BITS == 0);
+    ((delta_hops + KEY_DELTA_BIAS) as u64) << (2 * KEY_QUBIT_BITS)
+        | (endpoint as u64) << KEY_QUBIT_BITS
+        | w as u64
+}
+
+/// The unit metric's best candidate SWAP as `(delta_hops, endpoint, w)`:
+/// the lexicographic minimum over every SWAP of an unsatisfied gate's
+/// endpoint with one of its neighbors, taken as one minimum over packed
+/// keys. `None` when no endpoint has a neighbor.
+///
+/// For the unit metric `dist` IS the hop count as `f64`: every weighted
+/// delta is an exact small integer, so the reference comparison
+/// (`dw' < dw - 1e-12`, `|dw' - dw| <= 1e-12`) is *exactly* the integer
+/// comparison on `delta_hops`, and its sequential strictly-better scan
+/// keeps the lexicographic minimum. The endpoint's partner is never `w`
+/// (an unsatisfied pair is not coupled), so the SWAP moves the
+/// endpoint's gate onto `(w, partner)` and `w`'s gate, if any, onto
+/// `(endpoint, partner[w])`: one read of `w`'s row and one of the
+/// endpoint's.
+fn best_unit_swap(
+    bufs: &LayerRouteBufs,
+    topology: &Topology,
+    hops_flat: &[usize],
+    n: usize,
+) -> Option<(i64, usize, usize)> {
+    let mut best = u64::MAX;
+    for &(pa, pb) in &bufs.unsat {
+        for endpoint in [pa, pb] {
+            let (partner, before) = (bufs.partner[endpoint], bufs.hops_at[endpoint]);
+            let row = &hops_flat[endpoint * n..(endpoint + 1) * n];
+            for &w in topology.neighbors(endpoint) {
+                debug_assert_ne!(w, partner);
+                let delta_hops = hops_flat[w * n + partner] as i64 - before
+                    + row[bufs.partner[w]] as i64
+                    - bufs.hops_at[w];
+                best = best.min(candidate_key(delta_hops, endpoint, w));
+            }
+        }
+    }
+    let mask = (1u64 << KEY_QUBIT_BITS) - 1;
+    (best != u64::MAX).then(|| {
+        (
+            (best >> (2 * KEY_QUBIT_BITS)) as i64 - KEY_DELTA_BIAS,
+            ((best >> KEY_QUBIT_BITS) & mask) as usize,
+            (best & mask) as usize,
+        )
+    })
+}
+
+/// The variation-aware metric's best candidate SWAP as
+/// `(delta_hops, endpoint, w)`: least hop delta, then least weighted
+/// delta beyond a 1e-12 tolerance, then least `(endpoint, w)` — decided
+/// candidate by candidate in the reference's order, because the
+/// tolerance makes the rule order-dependent. `None` when no endpoint has
+/// a neighbor.
+fn best_weighted_swap(
+    bufs: &LayerRouteBufs,
+    topology: &Topology,
+    hops_flat: &[usize],
+    dist_flat: &[f64],
+    n: usize,
+) -> Option<(i64, usize, usize)> {
+    let mut best: Option<(i64, f64, usize, usize)> = None;
+    for &(pa, pb) in &bufs.unsat {
+        for endpoint in [pa, pb] {
+            for &w in topology.neighbors(endpoint) {
+                let mut delta_hops: i64 = 0;
+                let mut delta_weighted = 0.0;
+                // Accumulation order matches the old gates-on chain
+                // (endpoint's gate, then w's distinct gate), and each
+                // branch indexes the exact matrix cell the reference's
+                // operand-relocation form reads, so the float sums —
+                // and therefore VIC tie-breaks — are bit-identical.
+                // The "before" distances are the maintained per-gate
+                // values: the same table reads the reference performs,
+                // just not repeated per candidate.
+                let g0 = bufs.gate_at[endpoint];
+                let g1 = bufs.gate_at[w];
+                if g0 != usize::MAX {
+                    let (a0, b0) = bufs.pairs[g0];
+                    // A gate on (endpoint, w) itself keeps its distance
+                    // under the swap (the matrix is symmetric), adding
+                    // exactly zero — skip it.
+                    let cell = if a0 == endpoint {
+                        if b0 == w {
+                            usize::MAX
+                        } else {
+                            w * n + b0
+                        }
+                    } else if a0 == w {
+                        usize::MAX
+                    } else {
+                        a0 * n + w
+                    };
+                    if cell != usize::MAX {
+                        delta_hops += hops_flat[cell] as i64 - bufs.hops_at[endpoint];
+                        delta_weighted += dist_flat[cell] - bufs.cur_dist[g0];
+                    }
+                }
+                if g1 != usize::MAX && g1 != g0 {
+                    // `w`'s gate: its other operand is neither endpoint
+                    // nor `w` (distinct disjoint gates), so only the
+                    // `w` operand relocates.
+                    let (a1, b1) = bufs.pairs[g1];
+                    let cell = if a1 == w {
+                        endpoint * n + b1
+                    } else {
+                        a1 * n + endpoint
+                    };
+                    delta_hops += hops_flat[cell] as i64 - bufs.hops_at[w];
+                    delta_weighted += dist_flat[cell] - bufs.cur_dist[g1];
+                }
+                let better = match best {
+                    Some((dh, dw, be, bw)) => {
+                        delta_hops < dh
+                            || (delta_hops == dh
+                                && (delta_weighted < dw - 1e-12
+                                    || ((delta_weighted - dw).abs() <= 1e-12
+                                        && (endpoint, w) < (be, bw))))
+                    }
+                    None => true,
+                };
+                if better {
+                    best = Some((delta_hops, delta_weighted, endpoint, w));
+                }
+            }
+        }
+    }
+    best.map(|(delta_hops, _, e, w)| (delta_hops, e, w))
+}
+
+/// Records the gate on physical qubits `(a, b)` in the per-qubit
+/// descent state: each endpoint's partner and the gate's hop distance.
+fn seat_gate(bufs: &mut LayerRouteBufs, hops_flat: &[usize], n: usize, a: usize, b: usize) {
+    let hops = hops_flat[a * n + b] as i64;
+    bufs.partner[a] = b;
+    bufs.partner[b] = a;
+    bufs.hops_at[a] = hops;
+    bufs.hops_at[b] = hops;
+}
+
+/// Applies the physical swap `(e, w)` to [`route_layer`]'s descent
+/// state: rewrites the operand pairs of the (at most two) gates touching
+/// `e` or `w`, refreshes their cached distances with the same table reads
+/// a full per-step rebuild would perform, and swaps the occupancy
+/// entries. Every other gate's state is untouched — a swap moves exactly
+/// two physical qubits.
 fn apply_swap_to_gates(
     bufs: &mut LayerRouteBufs,
     hops_flat: &[usize],
@@ -574,6 +654,12 @@ fn apply_swap_to_gates(
 ) {
     let g0 = bufs.gate_at[e];
     let g1 = bufs.gate_at[w];
+    bufs.gate_at.swap(e, w);
+    // Both qubits read as empty until a moved gate is re-seated on them.
+    for q in [e, w] {
+        bufs.partner[q] = q;
+        bufs.hops_at[q] = 1;
+    }
     let mut update = |gi: usize| {
         let (a0, b0) = bufs.pairs[gi];
         let reloc = |p: usize| {
@@ -587,8 +673,8 @@ fn apply_swap_to_gates(
         };
         let (a1, b1) = (reloc(a0), reloc(b0));
         bufs.pairs[gi] = (a1, b1);
-        bufs.cur_hops[gi] = hops_flat[a1 * n + b1] as i64;
         bufs.cur_dist[gi] = dist_flat[a1 * n + b1];
+        seat_gate(bufs, hops_flat, n, a1, b1);
     };
     if g0 != usize::MAX {
         update(g0);
@@ -596,7 +682,6 @@ fn apply_swap_to_gates(
     if g1 != usize::MAX && g1 != g0 {
         update(g1);
     }
-    bufs.gate_at.swap(e, w);
 }
 
 /// Walks the occupant of `path\[0\]` along `path`, stopping one hop short of
@@ -612,71 +697,6 @@ fn walk_path(path: &[usize], layout: &mut Layout, out: &mut Circuit) -> usize {
         swaps += 1;
     }
     swaps
-}
-
-/// Dijkstra over the coupling graph with `metric.swap_cost` edge weights
-/// (hop count for the unit metric; 3·(−ln success) — the log-infidelity of
-/// one SWAP — for the variation-aware metric), optionally excluding frozen
-/// qubits (the endpoints are always allowed). On success, leaves the node
-/// sequence from `from` to `to` in `bufs.path` and returns `true`; returns
-/// `false` if disconnected under the exclusions. All working storage
-/// (distance, predecessor and visited tables plus the path itself) lives
-/// in `bufs`, so repeated calls allocate nothing.
-fn cheapest_path_into(
-    topology: &Topology,
-    metric: &RoutingMetric,
-    from: usize,
-    to: usize,
-    frozen: Option<&[bool]>,
-    bufs: &mut LayerRouteBufs,
-) -> bool {
-    let n = topology.num_qubits();
-    let blocked =
-        |p: usize| -> bool { p != from && p != to && frozen.map(|f| f[p]).unwrap_or(false) };
-    bufs.dist.clear();
-    bufs.dist.resize(n, f64::INFINITY);
-    bufs.prev.clear();
-    bufs.prev.resize(n, usize::MAX);
-    bufs.visited.clear();
-    bufs.visited.resize(n, false);
-    bufs.dist[from] = 0.0;
-    for _ in 0..n {
-        let Some(u) = (0..n)
-            .filter(|&u| !bufs.visited[u] && bufs.dist[u].is_finite())
-            .min_by(|&a, &b| bufs.dist[a].total_cmp(&bufs.dist[b]))
-        else {
-            return false;
-        };
-        if u == to {
-            break;
-        }
-        bufs.visited[u] = true;
-        for &w in topology.neighbors(u) {
-            if bufs.visited[w] || blocked(w) {
-                continue;
-            }
-            let cost = bufs.dist[u] + metric.swap_cost(u, w);
-            if cost < bufs.dist[w] - 1e-9 {
-                bufs.dist[w] = cost;
-                bufs.prev[w] = u;
-            }
-        }
-    }
-    if !bufs.dist[to].is_finite() {
-        return false;
-    }
-    bufs.path.clear();
-    bufs.path.push(to);
-    let mut cur = to;
-    while cur != from {
-        cur = bufs.prev[cur];
-        if cur == usize::MAX {
-            return false;
-        }
-        bufs.path.push(cur);
-    }
-    bufs.path.reverse();
-    true
 }
 
 fn emit(out: &mut Circuit, instr: Instruction) {
