@@ -8,16 +8,15 @@
 //! With `trajectories > 0` the table adds *measured* mean fidelities
 //! next to the calibration-predicted ESP: each compiled circuit is run
 //! through [`TrajectorySimulator::mean_fidelity`] against its noiseless
-//! state, using the simulation engine configured by [`SimOptions`]
-//! (override the worker count with `SIM_THREADS`). The default of 0
-//! trajectories keeps the original ESP-only output and cost.
+//! state. The default of 0 trajectories keeps the original ESP-only
+//! output and cost.
 
 use bench::cli::Cli;
 use bench::stats::mean;
 use bench::workloads::{instances, Family};
 use qcompile::{try_compile_artifact_with_context, CompileOptions};
 use qhw::{Calibration, HardwareContext};
-use qsim::{NoiseModel, SimOptions, StateVector, TrajectorySimulator};
+use qsim::{NoiseModel, StateVector, TrajectorySimulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,11 +25,7 @@ fn main() {
     let count = cli.pos_usize(0, 20);
     let trajectories = cli.pos_u32(1, 0);
     let (topo, cal) = Calibration::melbourne_2020_04_08();
-    let options = match std::env::var("SIM_THREADS") {
-        Ok(t) => SimOptions::default().with_threads(t.parse().expect("SIM_THREADS: integer")),
-        Err(_) => SimOptions::default(),
-    };
-    let sim = TrajectorySimulator::with_options(NoiseModel::new(cal.clone()), options);
+    let sim = TrajectorySimulator::new(NoiseModel::new(cal.clone()));
     let context = HardwareContext::shared(&topo, Some(&cal));
 
     println!(
@@ -67,7 +62,7 @@ fn main() {
                     let c = artifact.template();
                     sp[si].push(c.success_probability(&cal));
                     if trajectories > 0 {
-                        let ideal = StateVector::from_circuit_with(c.physical(), sim.options());
+                        let ideal = StateVector::from_circuit(c.physical());
                         fid[si].push(sim.mean_fidelity(
                             c.physical(),
                             &ideal,

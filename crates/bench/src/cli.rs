@@ -26,7 +26,7 @@ pub struct Cli {
     manifest: Option<PathBuf>,
     trace: Option<PathBuf>,
     /// Driver-specific boolean flags that were present, stored without
-    /// the `--` prefix (see [`Cli::parse_with_flags`]).
+    /// the `--` prefix (see [`Cli::parse_with_options`]).
     flags: Vec<String>,
     /// Driver-specific valued options (`--name <value>` or
     /// `--name=<value>`), stored without the `--` prefix (see
@@ -58,22 +58,16 @@ impl Cli {
     /// status 2 on a malformed flag (missing value or unknown `--`
     /// option), printing the usage hint to stderr.
     pub fn parse(figure: &str) -> Cli {
-        Cli::parse_with_flags(figure, &[])
+        Cli::parse_with_options(figure, &[], &[])
     }
 
     /// Like [`Cli::parse`], additionally accepting the listed boolean
-    /// flags (named without the `--` prefix). A present flag is readable
-    /// through [`Cli::flag`]; any other `--` option still errors.
-    pub fn parse_with_flags(figure: &str, allowed_flags: &[&str]) -> Cli {
-        Cli::parse_with_options(figure, allowed_flags, &[])
-    }
-
-    /// Like [`Cli::parse_with_flags`], additionally accepting the listed
-    /// valued options (`--name <value>` or `--name=<value>`, named
-    /// without the `--` prefix). A present option's value is readable
-    /// through [`Cli::opt`].
+    /// flags and valued options (`--name <value>` or `--name=<value>`),
+    /// all named without the `--` prefix. A present flag is readable
+    /// through [`Cli::flag`] and an option's value through [`Cli::opt`];
+    /// any other `--` option still errors.
     pub fn parse_with_options(figure: &str, allowed_flags: &[&str], allowed_opts: &[&str]) -> Cli {
-        match Cli::from_args_full(
+        match Cli::from_args(
             figure,
             std::env::args().skip(1).collect(),
             allowed_flags,
@@ -100,24 +94,10 @@ impl Cli {
         }
     }
 
-    /// Flag-parsing core, separated from process concerns for testing.
-    /// `Ok(None)` means `--help` was requested.
-    pub fn from_args(figure: &str, args: Vec<String>) -> Result<Option<Cli>, String> {
-        Cli::from_args_with(figure, args, &[])
-    }
-
-    /// [`Cli::from_args`] with driver-specific boolean flags allowed.
-    pub fn from_args_with(
-        figure: &str,
-        args: Vec<String>,
-        allowed_flags: &[&str],
-    ) -> Result<Option<Cli>, String> {
-        Cli::from_args_full(figure, args, allowed_flags, &[])
-    }
-
-    /// [`Cli::from_args_with`] with driver-specific valued options
-    /// allowed as well.
-    pub fn from_args_full(
+    /// Flag-parsing core of [`Cli::parse_with_options`], separated from
+    /// process concerns for testing. `Ok(None)` means `--help` was
+    /// requested.
+    pub fn from_args(
         figure: &str,
         args: Vec<String>,
         allowed_flags: &[&str],
@@ -186,7 +166,7 @@ impl Cli {
     }
 
     /// Whether the boolean flag `name` (without `--`) was present. Only
-    /// flags listed in [`Cli::parse_with_flags`] can ever be present.
+    /// flags listed in [`Cli::parse_with_options`] can ever be present.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
@@ -237,33 +217,41 @@ impl Cli {
     }
 
     /// Drains the global recorder into a manifest named after the driver
-    /// and writes the requested artifacts: the manifest to `--manifest`
-    /// and the Chrome Trace Format export to `--trace`. The recorder is
-    /// drained exactly once; both files come from the same manifest.
-    /// No-op without either flag. Call this last, after all instrumented
-    /// work.
+    /// and writes the requested artifacts: the Chrome Trace Format export
+    /// to `--trace`, then the manifest to `--manifest`. The recorder is
+    /// drained exactly once; both files come from the same manifest, but
+    /// the timeline events go only into the trace (no manifest reader
+    /// uses them). No-op without either flag. Call this last, after all
+    /// instrumented work.
+    ///
+    /// Exits with status 2 when an artifact cannot be written, as an
+    /// unwritable report does.
     pub fn write_manifest(&self) {
         if self.manifest.is_none() && self.trace.is_none() {
             return;
         }
-        let manifest = qtrace::take(&self.figure);
-        if let Some(path) = self.manifest.as_deref() {
-            match manifest.save(path) {
-                Ok(()) => println!("[wrote manifest {}]", path.display()),
-                Err(e) => {
-                    eprintln!("[could not write manifest {}: {e}]", path.display());
-                    std::process::exit(1);
-                }
-            }
-        }
+        let mut manifest = qtrace::take(&self.figure);
         if let Some(path) = self.trace.as_deref() {
-            match qtrace::export::save_chrome_trace(&manifest, path) {
-                Ok(()) => println!("[wrote trace {}]", path.display()),
-                Err(e) => {
-                    eprintln!("[could not write trace {}: {e}]", path.display());
-                    std::process::exit(1);
-                }
-            }
+            announce(
+                "trace",
+                path,
+                qtrace::export::save_chrome_trace(&manifest, path),
+            );
+        }
+        if let Some(path) = self.manifest.as_deref() {
+            manifest.events.clear();
+            announce("manifest", path, manifest.save(path));
+        }
+    }
+}
+
+/// Reports a written artifact, or exits 2 naming the one that failed.
+fn announce(kind: &str, path: &Path, written: std::io::Result<()>) {
+    match written {
+        Ok(()) => println!("[wrote {kind} {}]", path.display()),
+        Err(e) => {
+            eprintln!("could not write {}: {e}", path.display());
+            std::process::exit(2);
         }
     }
 }
@@ -276,15 +264,20 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
-    fn parse(figure: &str, list: &[&str]) -> Cli {
-        Cli::from_args(figure, args(list))
+    /// Parses `list` with no driver-specific flags or options allowed.
+    fn try_parse(list: &[&str]) -> Result<Option<Cli>, String> {
+        Cli::from_args("fig", args(list), &[], &[])
+    }
+
+    fn parse(list: &[&str]) -> Cli {
+        try_parse(list)
             .expect("well-formed args")
             .expect("not a help request")
     }
 
     #[test]
     fn positionals_survive_flag_interleaving() {
-        let cli = parse("fig", &["12", "--manifest", "m.json", "34"]);
+        let cli = parse(&["12", "--manifest", "m.json", "34"]);
         assert_eq!(cli.pos_usize(0, 0), 12);
         assert_eq!(cli.pos_usize(1, 0), 34);
         assert_eq!(cli.pos_usize(2, 77), 77, "absent positional falls back");
@@ -293,9 +286,9 @@ mod tests {
 
     #[test]
     fn equals_form_and_absence() {
-        let cli = parse("fig", &["--manifest=out/x.json"]);
+        let cli = parse(&["--manifest=out/x.json"]);
         assert_eq!(cli.manifest_path(), Some(Path::new("out/x.json")));
-        let cli = parse("fig", &["5"]);
+        let cli = parse(&["5"]);
         assert_eq!(cli.manifest_path(), None);
         assert_eq!(cli.trace_path(), None);
         assert_eq!(cli.pos_u32(0, 1), 5);
@@ -304,21 +297,19 @@ mod tests {
 
     #[test]
     fn trace_flag_both_forms() {
-        let cli = parse("fig", &["--trace", "t.json", "7"]);
+        let cli = parse(&["--trace", "t.json", "7"]);
         assert_eq!(cli.trace_path(), Some(Path::new("t.json")));
         assert_eq!(cli.pos_usize(0, 0), 7);
-        let cli = parse("fig", &["--trace=out/t.json", "--manifest=m.json"]);
+        let cli = parse(&["--trace=out/t.json", "--manifest=m.json"]);
         assert_eq!(cli.trace_path(), Some(Path::new("out/t.json")));
         assert_eq!(cli.manifest_path(), Some(Path::new("m.json")));
     }
 
     #[test]
     fn help_is_recognized_in_any_position() {
-        assert!(Cli::from_args("fig", args(&["--help"])).unwrap().is_none());
-        assert!(Cli::from_args("fig", args(&["-h"])).unwrap().is_none());
-        assert!(Cli::from_args("fig", args(&["3", "--help", "4"]))
-            .unwrap()
-            .is_none());
+        assert!(try_parse(&["--help"]).unwrap().is_none());
+        assert!(try_parse(&["-h"]).unwrap().is_none());
+        assert!(try_parse(&["3", "--help", "4"]).unwrap().is_none());
     }
 
     #[test]
@@ -332,20 +323,21 @@ mod tests {
 
     #[test]
     fn malformed_flags_error() {
-        assert!(Cli::from_args("fig", args(&["--manifest"])).is_err());
-        assert!(Cli::from_args("fig", args(&["--trace"])).is_err());
-        assert!(Cli::from_args("fig", args(&["--bogus"])).is_err());
+        assert!(try_parse(&["--manifest"]).is_err());
+        assert!(try_parse(&["--trace"]).is_err());
+        assert!(try_parse(&["--bogus"]).is_err());
     }
 
     #[test]
     fn boolean_flags_are_opt_in_per_driver() {
         // Without an allowance the flag is still an error.
-        assert!(Cli::from_args("fig", args(&["--quick"])).is_err());
+        assert!(try_parse(&["--quick"]).is_err());
 
-        let cli = Cli::from_args_with(
+        let cli = Cli::from_args(
             "fig",
             args(&["--quick", "7", "--manifest=m.json"]),
             &["quick"],
+            &[],
         )
         .expect("well-formed")
         .expect("not help");
@@ -356,25 +348,25 @@ mod tests {
 
         // Absent flag reads false; unknown flags still error even with
         // an allowance in place.
-        let cli = Cli::from_args_with("fig", args(&["7"]), &["quick"])
+        let cli = Cli::from_args("fig", args(&["7"]), &["quick"], &[])
             .expect("well-formed")
             .expect("not help");
         assert!(!cli.flag("quick"));
-        assert!(Cli::from_args_with("fig", args(&["--bogus"]), &["quick"]).is_err());
+        assert!(Cli::from_args("fig", args(&["--bogus"]), &["quick"], &[]).is_err());
     }
 
     #[test]
     fn unparsable_positionals_fall_back() {
-        let cli = parse("fig", &["abc"]);
+        let cli = parse(&["abc"]);
         assert_eq!(cli.pos_usize(0, 9), 9);
     }
 
     #[test]
     fn valued_options_are_opt_in_per_driver() {
         // Without an allowance the option is an error.
-        assert!(Cli::from_args("fig", args(&["--journal", "j.jsonl"])).is_err());
+        assert!(try_parse(&["--journal", "j.jsonl"]).is_err());
 
-        let cli = Cli::from_args_full(
+        let cli = Cli::from_args(
             "fig",
             args(&["--quick", "--journal", "j.jsonl", "7"]),
             &["quick"],
@@ -388,7 +380,7 @@ mod tests {
         assert_eq!(cli.pos_usize(0, 0), 7);
 
         // Equals form works and the last occurrence wins.
-        let cli = Cli::from_args_full(
+        let cli = Cli::from_args(
             "fig",
             args(&["--journal=a.jsonl", "--journal=b.jsonl"]),
             &[],
@@ -399,6 +391,6 @@ mod tests {
         assert_eq!(cli.opt("journal"), Some("b.jsonl"));
 
         // A missing value is a parse error, not a silent skip.
-        assert!(Cli::from_args_full("fig", args(&["--journal"]), &[], &["journal"]).is_err());
+        assert!(Cli::from_args("fig", args(&["--journal"]), &[], &["journal"]).is_err());
     }
 }

@@ -49,7 +49,8 @@ pub struct Tail {
 /// Everything the dashboard shows for one tenant.
 #[derive(Debug, Clone, Default)]
 pub struct TenantStat {
-    /// Lifecycle counters keyed by short name (see [`COUNTER_ORDER`]).
+    /// Lifecycle counters keyed by short name, such as `requests` or
+    /// `hits`.
     pub counters: BTreeMap<String, u64>,
     /// Failures keyed by stable [`qserve::ServeError::code`] string.
     pub errors: BTreeMap<String, u64>,

@@ -1,6 +1,6 @@
 //! Machine-readable per-figure results: each `fig*` binary emits a
 //! `BENCH_<figure>.json` next to its table, carrying a
-//! [`Summary`](crate::stats::Summary) (mean, median, 95% bootstrap CI)
+//! [`Summary`] (mean, median, 95% bootstrap CI)
 //! per metric series so plots and regressions don't re-parse stdout.
 //!
 //! JSON is emitted by hand — the workspace is offline and carries no

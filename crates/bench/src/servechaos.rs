@@ -645,16 +645,11 @@ fn spill_crash_recovery(
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Runs the full six-phase campaign. Deterministic for a fixed `cfg`:
-/// two runs (any worker count ≥ 1) produce equal [`ChaosOutcome`]s and
+/// Runs the full six-phase campaign and harvests its ops plane: the
+/// per-phase journals and the lifecycle conservation tallies.
+/// Deterministic for a fixed `cfg`: two runs (any worker count ≥ 1)
+/// produce equal [`ChaosOutcome`]s, byte-identical journals and
 /// byte-identical normalized run manifests.
-pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
-    run_chaos_full(cfg).0
-}
-
-/// [`run_chaos`] plus the ops-plane harvest: the per-phase journals
-/// (byte-identical across runs and worker counts) and the lifecycle
-/// conservation tallies.
 pub fn run_chaos_full(cfg: &ChaosConfig) -> (ChaosOutcome, OpsArtifacts) {
     silence_injected_panics();
     let topo = Topology::grid(2, 3);

@@ -1,6 +1,7 @@
 //! Every bench binary must answer `--help` by printing a usage string to
-//! stdout and exiting 0, and a report that cannot be written must fail
-//! the run — the contracts the CI and README lean on.
+//! stdout and exiting 0, and a report or manifest that cannot be written
+//! must fail the run with status 2 — the contracts the CI and README lean
+//! on.
 
 use std::process::Command;
 
@@ -90,4 +91,27 @@ fn unwritable_report_exits_nonzero() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("BENCH_fig08_size_sweep.json"), "{stderr}");
+}
+
+#[test]
+fn unwritable_manifest_exits_two() {
+    // The report lands in a writable directory and only `--manifest`
+    // points into a missing one: that must fail the run with the same
+    // status as an unwritable report.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("unwritable-manifest");
+    std::fs::create_dir_all(&dir).expect("create report dir");
+    let manifest = dir.join("missing").join("m.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig08_size_sweep"))
+        .arg("1")
+        .arg("--manifest")
+        .arg(&manifest)
+        .env("BENCH_OUT_DIR", &dir)
+        .output()
+        .expect("spawn fig08_size_sweep");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!("could not write {}", manifest.display())),
+        "{stderr}"
+    );
 }

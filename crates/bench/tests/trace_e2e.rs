@@ -55,9 +55,14 @@ fn fig09_trace_round_trips_and_xray_renders_it() {
     );
 
     // The manifest written alongside is version 2 and references spans.
+    // The timeline lives only in the trace: the manifest has no events.
     let manifest_text = std::fs::read_to_string(&manifest_path).expect("manifest written");
     let manifest = qtrace::Manifest::from_json(&manifest_text).expect("manifest parses");
     assert!(!manifest.spans.is_empty());
+    assert!(
+        !manifest_text.contains("\"events\""),
+        "manifest written beside --trace carries an events section"
+    );
 
     // xray renders both artifact kinds.
     for artifact in [&trace_path, &manifest_path] {

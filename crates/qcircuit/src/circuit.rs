@@ -83,12 +83,6 @@ impl Instruction {
         self.q0 as usize == q || (self.gate.arity() == 2 && self.q1 as usize == q)
     }
 
-    /// Whether the instruction shares at least one qubit with `other`.
-    pub fn overlaps(&self, other: &Instruction) -> bool {
-        other.acts_on(self.q0 as usize)
-            || (self.gate.arity() == 2 && other.acts_on(self.q1 as usize))
-    }
-
     /// Rewrites qubit indices through `map` (e.g. a logical→physical
     /// layout), returning the remapped instruction.
     ///
@@ -792,10 +786,6 @@ mod tests {
     #[test]
     fn instruction_overlap_and_acts_on() {
         let a = Instruction::two(Gate::Cnot, 0, 1);
-        let b = Instruction::two(Gate::Cnot, 1, 2);
-        let c = Instruction::one(Gate::H, 3);
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&c));
         assert!(a.acts_on(0) && a.acts_on(1) && !a.acts_on(2));
     }
 

@@ -145,11 +145,6 @@ impl Gate {
         )
     }
 
-    /// Whether the two operands of a two-qubit gate are interchangeable.
-    pub fn is_symmetric(&self) -> bool {
-        matches!(self, Gate::Cz | Gate::CPhase(_) | Gate::Rzz(_) | Gate::Swap)
-    }
-
     /// The gate's rotation/phase parameters, in declaration order.
     pub fn params(&self) -> Vec<Angle> {
         match *self {
@@ -520,14 +515,6 @@ mod tests {
         // classification is structural: symbolic angles classify identically
         assert!(Gate::Rzz(Angle::sym(ParamId(0))).is_diagonal());
         assert!(Gate::CPhase(Angle::sym(ParamId(0))).is_diagonal());
-    }
-
-    #[test]
-    fn symmetric_classification() {
-        assert!(Gate::Rzz(a(0.2)).is_symmetric());
-        assert!(Gate::Swap.is_symmetric());
-        assert!(!Gate::Cnot.is_symmetric());
-        assert!(Gate::Rzz(Angle::sym(ParamId(1))).is_symmetric());
     }
 
     #[test]

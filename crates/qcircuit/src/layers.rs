@@ -112,28 +112,6 @@ pub fn asap_layers_into(c: &Circuit, start: usize, buf: &mut LayerBuffer) {
     }
 }
 
-/// Groups only the *two-qubit* gates of `c` into ASAP layers, ignoring
-/// single-qubit gates and measurements.
-///
-/// The SWAP-insertion backends operate on two-qubit layers: coupling
-/// constraints only bind two-qubit gates, and single-qubit gates route
-/// trivially.
-pub fn two_qubit_layers(c: &Circuit) -> Vec<Vec<Instruction>> {
-    let mut frontier = vec![0usize; c.num_qubits()];
-    let mut layers: Vec<Vec<Instruction>> = Vec::new();
-    for instr in c.iter().filter(|i| i.gate().arity() == 2) {
-        let (a, b) = (instr.q0(), instr.q1());
-        let level = frontier[a].max(frontier[b]);
-        if level == layers.len() {
-            layers.push(Vec::new());
-        }
-        layers[level].push(*instr);
-        frontier[a] = level + 1;
-        frontier[b] = level + 1;
-    }
-    layers
-}
-
 /// Rebuilds a circuit from explicit layers, preserving the layer order.
 ///
 /// # Panics
@@ -148,16 +126,6 @@ pub fn from_layers(num_qubits: usize, layers: &[Vec<Instruction>]) -> Circuit {
         }
     }
     c
-}
-
-/// The average number of gates per layer — a parallelism figure of merit.
-/// Returns 0.0 for the empty circuit.
-pub fn mean_layer_occupancy(c: &Circuit) -> f64 {
-    let layers = asap_layers(c);
-    if layers.is_empty() {
-        return 0.0;
-    }
-    c.len() as f64 / layers.len() as f64
 }
 
 #[cfg(test)]
@@ -202,35 +170,12 @@ mod tests {
     }
 
     #[test]
-    fn two_qubit_layers_ignore_singles() {
-        let c = qaoa_like(&[(0, 1), (2, 3), (1, 2)]);
-        let layers = two_qubit_layers(&c);
-        assert_eq!(layers.len(), 2);
-        assert_eq!(layers[0].len(), 2);
-        assert_eq!(layers[1].len(), 1);
-        assert!(layers
-            .iter()
-            .flatten()
-            .all(|i| matches!(i.gate(), Gate::Rzz(_))));
-    }
-
-    #[test]
     fn from_layers_round_trips() {
         let c = qaoa_like(&[(0, 1), (2, 3), (0, 3)]);
         let layers = asap_layers(&c);
         let rebuilt = from_layers(4, &layers);
         assert_eq!(rebuilt.depth(), c.depth());
         assert_eq!(rebuilt.len(), c.len());
-    }
-
-    #[test]
-    fn occupancy() {
-        let mut c = Circuit::new(4);
-        for q in 0..4 {
-            c.h(q);
-        }
-        assert!((mean_layer_occupancy(&c) - 4.0).abs() < 1e-12);
-        assert_eq!(mean_layer_occupancy(&Circuit::new(3)), 0.0);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! This crate plays the role Qiskit's `QuantumCircuit` plays in the MICRO
 //! 2020 paper: it defines the gate set, the circuit container, the
 //! concurrency-layer scheduler that determines circuit *depth* (the paper's
-//! primary quality metric), gate decomposition into hardware basis gates,
-//! and commutation rules for the `CPHASE`/ZZ-interaction gates whose
-//! reorderability the paper exploits.
+//! primary quality metric), and gate decomposition into hardware basis
+//! gates.
 //!
 //! # Terminology
 //!
@@ -48,12 +47,10 @@ mod error;
 mod gate;
 
 pub mod basis;
-pub mod commute;
 pub mod draw;
 pub mod kernel;
 pub mod layers;
 pub mod math;
-pub mod metrics;
 pub mod param;
 pub mod qasm;
 mod qasm_parse;

@@ -82,14 +82,6 @@ impl Angle {
         matches!(self, Angle::Sym { .. })
     }
 
-    /// The concrete value, if the angle is a constant.
-    pub fn const_value(&self) -> Option<f64> {
-        match *self {
-            Angle::Const(v) => Some(v),
-            Angle::Sym { .. } => None,
-        }
-    }
-
     /// The parameter referenced by a symbolic angle.
     pub fn param(&self) -> Option<ParamId> {
         match *self {
@@ -302,7 +294,6 @@ mod tests {
     fn const_angles_round_trip() {
         let a = Angle::from(0.5);
         assert!(!a.is_sym());
-        assert_eq!(a.const_value(), Some(0.5));
         assert_eq!(a.value(), 0.5);
         assert_eq!(a.scaled(2.0), Angle::Const(1.0));
         assert_eq!(a.neg(), Angle::Const(-0.5));
@@ -312,7 +303,6 @@ mod tests {
     fn sym_angles_scale_affinely() {
         let a = Angle::sym(ParamId(3));
         assert!(a.is_sym());
-        assert_eq!(a.const_value(), None);
         assert_eq!(a.param(), Some(ParamId(3)));
         let b = a.scaled(2.0).neg();
         assert_eq!(

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use qcircuit::basis::{is_in_basis, to_basis, BasisSet};
-use qcircuit::commute::{commutes, commutes_exact};
 use qcircuit::layers::{asap_layers, from_layers};
 use qcircuit::{qasm, Circuit, Gate, Instruction};
 
@@ -102,19 +101,6 @@ proptest! {
         let unitary: Vec<Instruction> =
             c.iter().filter(|i| i.gate().is_unitary()).copied().collect();
         prop_assert_eq!(twice.instructions(), &unitary[..]);
-    }
-
-    #[test]
-    fn structural_commutation_is_sound(
-        a in arb_instruction(2),
-        b in arb_instruction(2),
-    ) {
-        // On 2 qubits the exact check always applies (support <= 2).
-        if commutes(&a, &b) {
-            if let Some(exact) = commutes_exact(&a, &b) {
-                prop_assert!(exact, "structural rule wrongly passed {a} vs {b}");
-            }
-        }
     }
 
     #[test]

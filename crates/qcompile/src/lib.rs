@@ -48,7 +48,6 @@
 
 mod batch;
 mod cancel;
-pub mod crosstalk;
 mod error;
 pub mod explain;
 pub mod ic;

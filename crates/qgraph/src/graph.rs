@@ -301,38 +301,12 @@ impl Graph {
         self.adjacency[u].intersection(&self.adjacency[v]).count()
     }
 
-    /// The induced subgraph on `nodes`, together with the mapping from new
-    /// indices to the original node indices.
-    ///
-    /// The i-th entry of the returned vector is the original index of new
-    /// node `i`.
-    pub fn induced_subgraph(&self, nodes: &[usize]) -> (Graph, Vec<usize>) {
-        let index_of = |orig: usize| nodes.iter().position(|&n| n == orig);
-        let mut sub = Graph::new(nodes.len());
-        for (i, &u) in nodes.iter().enumerate() {
-            for v in self.neighbors(u) {
-                if let Some(j) = index_of(v) {
-                    if i < j {
-                        sub.add_edge(i, j)
-                            .expect("indices in range by construction");
-                    }
-                }
-            }
-        }
-        (sub, nodes.to_vec())
-    }
-
     /// Maximum degree over all nodes (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
         (0..self.node_count())
             .map(|n| self.degree(n))
             .max()
             .unwrap_or(0)
-    }
-
-    /// Sum of degrees of all nodes, i.e. `2 * edge_count`.
-    pub fn degree_sum(&self) -> usize {
-        2 * self.edge_count()
     }
 }
 
@@ -463,16 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph_keeps_internal_edges() {
-        let g = k4();
-        let (sub, map) = g.induced_subgraph(&[1, 3]);
-        assert_eq!(sub.node_count(), 2);
-        assert_eq!(sub.edge_count(), 1);
-        assert!(sub.has_edge(0, 1));
-        assert_eq!(map, vec![1, 3]);
-    }
-
-    #[test]
     fn extend_adds_edges() {
         let mut g = Graph::new(4);
         g.extend([(0, 1), (2, 3)]);
@@ -483,7 +447,6 @@ mod tests {
     fn max_degree_and_degree_sum() {
         let g = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]).unwrap();
         assert_eq!(g.max_degree(), 3);
-        assert_eq!(g.degree_sum(), 6);
         assert_eq!(Graph::new(0).max_degree(), 0);
     }
 }

@@ -33,7 +33,6 @@
 mod error;
 mod graph;
 
-pub mod dot;
 pub mod generators;
 pub mod shortest_path;
 

@@ -394,17 +394,6 @@ impl Calibration {
         1.0 - self.cnot_error(u, v)
     }
 
-    /// Success rate of the two-CNOT "CPHASE" on `(u, v)` — the square of
-    /// the CNOT success rate (§IV-D).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `(u, v)` is not a calibrated coupling.
-    pub fn cphase_success(&self, u: usize, v: usize) -> f64 {
-        let s = self.cnot_success(u, v);
-        s * s
-    }
-
     /// Single-qubit gate error rate on physical qubit `q`.
     ///
     /// # Panics
@@ -479,13 +468,6 @@ mod tests {
             assert_eq!(c.cnot_success(e.a(), e.b()), 0.99);
         }
         assert_eq!(c.num_qubits(), 20);
-    }
-
-    #[test]
-    fn cphase_success_is_squared_cnot() {
-        let t = Topology::linear(2);
-        let c = Calibration::uniform(&t, 0.1, 0.0, 0.0);
-        assert!((c.cphase_success(0, 1) - 0.81).abs() < 1e-12);
     }
 
     #[test]

@@ -190,7 +190,7 @@ impl HardwareContext {
     ///
     /// Entries are compared for full equality after the fingerprint
     /// match, so hash collisions fall back to a correct rebuild. The
-    /// cache holds at most [`SHARED_CACHE_CAP`] distinct pairs and is
+    /// cache holds at most `SHARED_CACHE_CAP` (64) distinct pairs and is
     /// cleared wholesale beyond that (unbounded growth under drifting
     /// calibrations would be a leak).
     pub fn shared(topology: &Topology, calibration: Option<&Calibration>) -> Arc<HardwareContext> {
@@ -235,16 +235,6 @@ impl HardwareContext {
     /// [`Calibration::validate`] at construction.
     pub fn calibration_issue(&self) -> Option<&CalibrationError> {
         self.calibration_issue.as_ref()
-    }
-
-    /// The calibration data only when it validated against the topology;
-    /// reliability-weighted consumers should read through this.
-    pub fn usable_calibration(&self) -> Option<&Calibration> {
-        if self.calibration_issue.is_none() {
-            self.calibration.as_ref()
-        } else {
-            None
-        }
     }
 
     /// Whether the coupling graph is a single connected component
@@ -392,14 +382,12 @@ mod tests {
             // poisoned the weighted matrix (NaN); now it quarantines.
             let ctx = HardwareContext::with_calibration(topo.clone(), bad);
             assert!(ctx.calibration().is_some(), "{}", kind.label());
-            assert!(ctx.usable_calibration().is_none());
             assert!(ctx.calibration_issue().is_some());
             assert!(ctx.weighted_distances().is_none());
         }
         // A valid table keeps full service.
         let ctx = HardwareContext::with_calibration(topo, good);
         assert!(ctx.calibration_issue().is_none());
-        assert!(ctx.usable_calibration().is_some());
         assert!(ctx.weighted_distances().is_some());
     }
 

@@ -118,7 +118,8 @@ pub enum ServeError {
     /// repeatedly, so the service fails fast instead of re-detonating a
     /// worker. [`Service::release_quarantine`] lifts it.
     Quarantined {
-        /// [`spec_fingerprint`] of the quarantined program.
+        /// [`spec_fingerprint`](crate::spec_fingerprint) of the
+        /// quarantined program.
         spec_fp: u64,
         /// What the program did to earn it.
         reason: QuarantineReason,

@@ -417,28 +417,17 @@ impl DensityMatrix {
 /// depolarization per concurrency layer included; readout error is *not*
 /// applied — compare against pre-readout trajectory states).
 ///
+/// Runs with [`SimOptions::default`]. The density matrix over `n` qubits
+/// has `4^n` entries, so the serial crossover compares `2n` against its
+/// `crossover_qubits`.
+///
 /// # Panics
 ///
 /// Panics if the circuit exceeds the density-matrix size limit or applies
 /// a two-qubit gate across an uncalibrated pair.
 pub fn evolve_with_noise(circuit: &Circuit, model: &NoiseModel) -> DensityMatrix {
-    evolve_with_noise_with(circuit, model, &SimOptions::default())
-}
-
-/// [`evolve_with_noise`] with explicit engine options. The density matrix
-/// over `n` qubits has `4^n` entries, so the serial crossover compares
-/// `2n` against `opts.crossover_qubits`.
-///
-/// # Panics
-///
-/// Same conditions as [`evolve_with_noise`].
-pub fn evolve_with_noise_with(
-    circuit: &Circuit,
-    model: &NoiseModel,
-    opts: &SimOptions,
-) -> DensityMatrix {
     let n = circuit.num_qubits();
-    let threads = opts.effective_threads(2 * n);
+    let threads = SimOptions::default().effective_threads(2 * n);
     let mut rho = DensityMatrix::new(n);
     let mut busy = vec![false; n];
     for layer in qcircuit::layers::asap_layers(circuit) {

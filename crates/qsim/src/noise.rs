@@ -86,30 +86,18 @@ impl NoiseModel {
 #[derive(Debug, Clone)]
 pub struct TrajectorySimulator {
     model: NoiseModel,
-    options: SimOptions,
 }
 
 impl TrajectorySimulator {
-    /// Creates a simulator over `model` with default engine options.
+    /// Creates a simulator over `model`; its statevector updates use
+    /// [`SimOptions::default`].
     pub fn new(model: NoiseModel) -> Self {
-        Self::with_options(model, SimOptions::default())
-    }
-
-    /// Creates a simulator over `model` with explicit engine options
-    /// (thread count, diagonal fusion) for the underlying statevector
-    /// updates.
-    pub fn with_options(model: NoiseModel, options: SimOptions) -> Self {
-        TrajectorySimulator { model, options }
+        TrajectorySimulator { model }
     }
 
     /// The noise model in use.
     pub fn model(&self) -> &NoiseModel {
         &self.model
-    }
-
-    /// The engine options in use.
-    pub fn options(&self) -> &SimOptions {
-        &self.options
     }
 
     /// Runs one noisy trajectory of `circuit`, returning the (pure) final
@@ -122,26 +110,9 @@ impl TrajectorySimulator {
     /// routed circuits never do.
     pub fn run_trajectory<R: Rng + ?Sized>(&self, circuit: &Circuit, rng: &mut R) -> StateVector {
         let mut sv = StateVector::new(circuit.num_qubits());
-        self.run_trajectory_into(circuit, rng, &mut sv);
-        sv
-    }
-
-    /// [`TrajectorySimulator::run_trajectory`] into a caller-provided
-    /// state, reusing its allocation across trajectories. The state is
-    /// reset to `|0...0⟩` first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sv` has fewer qubits than the circuit, plus the
-    /// conditions of [`TrajectorySimulator::run_trajectory`].
-    pub fn run_trajectory_into<R: Rng + ?Sized>(
-        &self,
-        circuit: &Circuit,
-        rng: &mut R,
-        sv: &mut StateVector,
-    ) {
         let mut busy = vec![false; circuit.num_qubits()];
-        self.run_layers(&asap_layers(circuit), &mut busy, sv, rng);
+        self.run_layers(&asap_layers(circuit), &mut busy, &mut sv, rng);
+        sv
     }
 
     /// The trajectory inner loop over precomputed concurrency layers, with
@@ -155,7 +126,7 @@ impl TrajectorySimulator {
         rng: &mut R,
     ) {
         sv.reset();
-        let mut fused = FusedApplier::new(&self.options, sv.num_qubits());
+        let mut fused = FusedApplier::new(&SimOptions::default(), sv.num_qubits());
         for layer in layers {
             busy.fill(false);
             for instr in layer {

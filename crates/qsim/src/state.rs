@@ -343,46 +343,6 @@ impl StateVector {
             .sum()
     }
 
-    /// Projectively measures qubit `q` in the computational basis,
-    /// collapsing the state and returning the observed bit.
-    ///
-    /// The Born-rule outcome is drawn from `rng`; afterwards the state is
-    /// renormalized with qubit `q` fixed to the outcome. Mid-circuit
-    /// measurement is not used by the QAOA pipeline (which defers all
-    /// measurement to sampling) but completes the simulator for general
-    /// workloads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is out of range or the state has zero norm.
-    pub fn measure_qubit<R: rand::Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> bool {
-        assert!(q < self.num_qubits, "qubit {q} out of range");
-        let bit = 1usize << q;
-        let p_one: f64 = self
-            .amps
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| idx & bit != 0)
-            .map(|(_, a)| a.norm_sqr())
-            .sum();
-        let norm = self.norm_sqr();
-        assert!(norm > 1e-12, "cannot measure a zero-norm state");
-        let outcome = rng.gen_bool((p_one / norm).clamp(0.0, 1.0));
-        let keep_mask_set = outcome;
-        let scale = 1.0
-            / if outcome { p_one } else { norm - p_one }
-                .max(f64::MIN_POSITIVE)
-                .sqrt();
-        for (idx, a) in self.amps.iter_mut().enumerate() {
-            if (idx & bit != 0) == keep_mask_set {
-                *a = a.scale(scale);
-            } else {
-                *a = ZERO;
-            }
-        }
-        outcome
-    }
-
     /// The fidelity `|⟨ψ|φ⟩|²` with another state.
     ///
     /// # Panics
@@ -718,63 +678,5 @@ mod tests {
         let s1 = StateVector::from_circuit(&c1);
         let s2 = StateVector::from_circuit(&c2);
         assert!(s1.fidelity(&s2) > 1.0 - 1e-10);
-    }
-}
-
-#[cfg(test)]
-mod measure_tests {
-    use super::*;
-    use qcircuit::Circuit;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn measuring_basis_state_is_deterministic() {
-        let mut c = Circuit::new(2);
-        c.x(1);
-        let mut sv = StateVector::from_circuit(&c);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert!(!sv.measure_qubit(0, &mut rng));
-        assert!(sv.measure_qubit(1, &mut rng));
-        assert!((sv.norm_sqr() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bell_measurement_correlates() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let (mut ones, trials) = (0, 200);
-        for _ in 0..trials {
-            let mut c = Circuit::new(2);
-            c.h(0);
-            c.cx(0, 1);
-            let mut sv = StateVector::from_circuit(&c);
-            let first = sv.measure_qubit(0, &mut rng);
-            let second = sv.measure_qubit(1, &mut rng);
-            assert_eq!(first, second, "Bell pair must correlate");
-            ones += u32::from(first);
-        }
-        let frac = f64::from(ones) / trials as f64;
-        assert!((frac - 0.5).abs() < 0.15, "outcome fraction {frac}");
-    }
-
-    #[test]
-    fn collapse_renormalizes() {
-        let mut c = Circuit::new(3);
-        c.h(0);
-        c.h(1);
-        c.h(2);
-        let mut sv = StateVector::from_circuit(&c);
-        let mut rng = StdRng::seed_from_u64(9);
-        let _ = sv.measure_qubit(1, &mut rng);
-        assert!((sv.norm_sqr() - 1.0).abs() < 1e-12);
-        // Qubit 1 is now definite: all amplitude on one side.
-        let p = sv.probabilities();
-        let p_one: f64 = p
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i & 2 != 0)
-            .map(|(_, x)| x)
-            .sum();
-        assert!(p_one < 1e-12 || (p_one - 1.0).abs() < 1e-12);
     }
 }

@@ -23,8 +23,8 @@
 //! single `pid` is 1 (one process). Instant events carry `"s": "t"`
 //! (thread scope). Everything is plain JSON produced with the crate's
 //! own string machinery, so the output round-trips through
-//! [`crate::json::parse`] — tests and the `xray` bench binary rely on
-//! that.
+//! [`Json::parse`](crate::json::Json::parse) — tests and the `xray`
+//! bench binary rely on that.
 
 use std::io::Write;
 use std::path::Path;

@@ -101,14 +101,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// The value as an object map, if it is one.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
 }
 
 struct Parser<'a> {
