@@ -1,40 +1,50 @@
-//! `xray` — render a telemetry artifact as a text flamegraph, hot-path
-//! table and counter report.
+//! `xray` — render a qtrace run manifest as a text flamegraph, hot-path
+//! table and counter report, followed by the per-tenant serving
+//! dashboard for a serving run.
 //!
 //! Usage:
 //!
 //! ```text
-//! xray <artifact.json> [--top 10] [--baseline <artifact.json>] [--tenant <id>]
+//! xray <manifest.json> [--top 10] [--baseline <manifest.json>] [--tenant <id>]
+//!      [--journal <path>]
 //! ```
 //!
-//! The artifact may be a qtrace run manifest (`--manifest` output) or a
-//! Chrome Trace Format export (`--trace` output); the kind is sniffed
-//! from the top-level keys. With `--baseline`, counters are shown as
-//! deltas against the other artifact. With `--tenant`, both artifacts
-//! are narrowed to that tenant's `qserve/tenant/<id>/...` series before
-//! rendering, so the flamegraph and counter deltas read per-tenant.
-//! Exit status: 0 on success, 2 on usage/parse errors.
+//! The input is the run manifest a bench binary writes with
+//! `--manifest`; the Chrome trace a `--trace` run writes beside it is
+//! for Perfetto and is refused. With `--baseline`, counters are shown as deltas against the
+//! other manifest. When the manifest carries the `qserve/` series, or
+//! `--journal` names the run's ops journal (JSON lines), the serving
+//! dashboard follows: per-tenant traffic, terminals, error codes, tail
+//! latencies, hot specs and journal tallies. `--tenant` narrows every
+//! section to one tenant's `qserve/tenant/<id>/...` series (and the
+//! journal tallies to that tenant's events); `--top` caps both the
+//! hot-path and the hot-spec table. Exit status: 0 on success, 2 on
+//! usage/parse errors.
 
-use std::path::PathBuf;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use bench::xray::{filter_tenant, parse_input, render, XrayInput};
+use bench::{qstat, xray};
+use qtrace::Manifest;
 
 struct Args {
-    artifact: PathBuf,
+    manifest: PathBuf,
     top: usize,
     baseline: Option<PathBuf>,
     tenant: Option<u32>,
+    journal: Option<PathBuf>,
 }
 
 fn usage_text() -> String {
-    "usage: xray <artifact.json> [--top 10] [--baseline <artifact.json>] \
-     [--tenant <id>]\n\
+    "usage: xray <manifest.json> [--top 10] [--baseline <manifest.json>] \
+     [--tenant <id>] [--journal <path>]\n\
      \n\
      options:\n\
-     \x20 --top <n>              how many hot paths to list (default 10)\n\
-     \x20 --baseline <artifact>  show counters as deltas against this artifact\n\
+     \x20 --top <n>              how many hot paths and hot specs to list (default 10)\n\
+     \x20 --baseline <manifest>  show counters as deltas against this manifest\n\
      \x20 --tenant <id>          narrow to one tenant's qserve/tenant/<id>/ series\n\
+     \x20 --journal <path>       tally this ops journal (JSON lines) in the serving dashboard\n\
      \x20 -h, --help             print this help and exit"
         .to_owned()
 }
@@ -49,6 +59,7 @@ fn parse_args() -> Args {
     let mut top = 10;
     let mut baseline = None;
     let mut tenant = None;
+    let mut journal = None;
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -72,6 +83,10 @@ fn parse_args() -> Args {
                 };
                 tenant = Some(v);
             }
+            "--journal" => {
+                let Some(p) = iter.next() else { usage() };
+                journal = Some(PathBuf::from(p));
+            }
             _ if arg.starts_with("--") => usage(),
             _ => positional.push(PathBuf::from(arg)),
         }
@@ -80,38 +95,48 @@ fn parse_args() -> Args {
         usage();
     }
     Args {
-        artifact: positional.pop().expect("len checked"),
+        manifest: positional.pop().expect("len checked"),
         top,
         baseline,
         tenant,
+        journal,
     }
 }
 
-fn load(path: &PathBuf) -> XrayInput {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("xray: cannot read {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    };
-    match parse_input(&text) {
-        Ok(input) => input,
-        Err(e) => {
-            eprintln!("xray: {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
+fn fail(path: &Path, e: impl Display) -> ! {
+    eprintln!("xray: {}: {e}", path.display());
+    std::process::exit(2);
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| fail(path, format!("cannot read: {e}")))
+}
+
+fn load(path: &Path) -> Manifest {
+    xray::parse(&read(path)).unwrap_or_else(|e| fail(path, e))
 }
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let mut input = load(&args.artifact);
-    let mut baseline = args.baseline.as_ref().map(load);
-    if let Some(tenant) = args.tenant {
-        input = filter_tenant(&input, tenant);
-        baseline = baseline.map(|b| filter_tenant(&b, tenant));
+    let manifest = load(&args.manifest);
+    let baseline = args.baseline.as_deref().map(load);
+    let tallies = args.journal.as_ref().map(|path| {
+        qstat::journal_tallies(&read(path), args.tenant).unwrap_or_else(|e| fail(path, e))
+    });
+    let dash = qstat::dashboard(&manifest);
+    let (view, baseline) = match args.tenant {
+        Some(tenant) => (
+            xray::filter_tenant(&manifest, tenant),
+            baseline.map(|b| xray::filter_tenant(&b, tenant)),
+        ),
+        None => (manifest, baseline),
+    };
+    print!("{}", xray::render(&view, args.top, baseline.as_ref()));
+    if !dash.is_empty() || tallies.is_some() {
+        print!(
+            "{}",
+            qstat::render(&dash, tallies.as_ref(), args.tenant, args.top)
+        );
     }
-    print!("{}", render(&input, args.top, baseline.as_ref()));
     ExitCode::SUCCESS
 }

@@ -1,20 +1,22 @@
 //! Per-tenant operations dashboard for the `qserve` serving layer.
 //!
-//! Backs the `qstat` binary. Reads a qtrace run manifest carrying the
-//! `qserve/` series family that [`qserve::Service::flush_telemetry`]
-//! emits — per-tenant counters, error-code breakdowns, latency spans,
-//! the hit-ratio and failure-plane gauges, and per-spec request counts —
-//! plus, optionally, the deterministic ops journal, and renders a text
-//! dashboard: one block per tenant (traffic, terminal breakdown, error
-//! codes, tail latencies, breaker/bucket state), the top-N hot specs,
-//! and journal event tallies. `--tenant` narrows everything to one
-//! tenant, including the journal tallies (only events tagged with that
-//! tenant count).
+//! The serving section of the `xray` binary. Reads a qtrace run manifest
+//! carrying the `qserve/` series family that
+//! [`qserve::Service::flush_telemetry`] emits — per-tenant counters,
+//! error-code breakdowns, latency spans, the hit-ratio and failure-plane
+//! gauges, and per-spec request counts — plus, optionally, the
+//! deterministic ops journal, and renders a text dashboard: one block per
+//! tenant (traffic, terminal breakdown, error codes, tail latencies,
+//! breaker/bucket state), the top-N hot specs, and journal event tallies.
+//! `--tenant` narrows everything to one tenant, including the journal
+//! tallies (only events tagged with that tenant count).
 
 use std::collections::BTreeMap;
 
 use qtrace::json::Json;
-use qtrace::Manifest;
+use qtrace::{Manifest, SpanStat};
+
+use crate::xray::fmt_ns;
 
 /// Per-tenant counters in the order `flush_metrics` defines them;
 /// everything after `misses` is a terminal lifecycle stage.
@@ -33,19 +35,6 @@ const COUNTER_ORDER: [&str; 12] = [
     "throttled",
 ];
 
-/// Tail quantiles of one per-tenant span series.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Tail {
-    /// Completed occurrences.
-    pub count: u64,
-    /// Median, nanoseconds.
-    pub p50_ns: u64,
-    /// 90th percentile, nanoseconds.
-    pub p90_ns: u64,
-    /// 99th percentile, nanoseconds.
-    pub p99_ns: u64,
-}
-
 /// Everything the dashboard shows for one tenant.
 #[derive(Debug, Clone, Default)]
 pub struct TenantStat {
@@ -62,7 +51,7 @@ pub struct TenantStat {
     /// Token-bucket level at the final flush.
     pub bucket_level: Option<u64>,
     /// Wall-time tails keyed by series (`e2e`, `queue_wait`, `compile`).
-    pub tails: BTreeMap<String, Tail>,
+    pub tails: BTreeMap<String, SpanStat>,
 }
 
 impl TenantStat {
@@ -82,8 +71,6 @@ impl TenantStat {
 /// The manifest's `qserve/` series family, regrouped for rendering.
 #[derive(Debug, Clone, Default)]
 pub struct Dashboard {
-    /// Run name stamped in the manifest.
-    pub name: String,
     /// Per-tenant view, keyed by tenant id.
     pub tenants: BTreeMap<u32, TenantStat>,
     /// Per-spec request counts (`fingerprint hex` → requests), sorted
@@ -108,10 +95,7 @@ impl Dashboard {
 /// Series outside the family are ignored, so any `--manifest` artifact
 /// is accepted.
 pub fn dashboard(manifest: &Manifest) -> Dashboard {
-    let mut dash = Dashboard {
-        name: manifest.name.clone(),
-        ..Dashboard::default()
-    };
+    let mut dash = Dashboard::default();
     for (name, value) in &manifest.counters {
         if let Some(rest) = name.strip_prefix("qserve/tenant/") {
             let Some((tenant, tail)) = split_tenant(rest) else {
@@ -157,15 +141,11 @@ pub fn dashboard(manifest: &Manifest) -> Dashboard {
             continue;
         };
         if matches!(tail, "e2e" | "queue_wait" | "compile") {
-            dash.tenants.entry(tenant).or_default().tails.insert(
-                tail.to_owned(),
-                Tail {
-                    count: stat.count,
-                    p50_ns: stat.p50_ns,
-                    p90_ns: stat.p90_ns,
-                    p99_ns: stat.p99_ns,
-                },
-            );
+            dash.tenants
+                .entry(tenant)
+                .or_default()
+                .tails
+                .insert(tail.to_owned(), *stat);
         }
     }
     dash.specs
@@ -204,18 +184,6 @@ pub fn journal_tallies(
         *tallies.entry(event.to_owned()).or_insert(0) += 1;
     }
     Ok(tallies)
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
 }
 
 fn breaker_label(code: u64) -> &'static str {
@@ -290,18 +258,18 @@ fn render_tenant(out: &mut String, id: u32, stat: &TenantStat) {
     }
 }
 
-/// Renders the dashboard: per-tenant blocks, hot specs, journal
-/// tallies. `tenant` narrows to one tenant block (an unknown id renders
-/// an explicit "no series" line rather than erroring — the manifest may
-/// legitimately have skipped an idle tenant). `top` caps the hot-spec
-/// table.
+/// Renders the dashboard under its own heading: per-tenant blocks, hot
+/// specs, journal tallies. `tenant` narrows to one tenant block (an
+/// unknown id renders an explicit "no series" line rather than erroring
+/// — the manifest may legitimately have skipped an idle tenant). `top`
+/// caps the hot-spec table.
 pub fn render(
     dash: &Dashboard,
     journal: Option<&BTreeMap<String, u64>>,
     tenant: Option<u32>,
     top: usize,
 ) -> String {
-    let mut out = format!("qstat: {}\n", dash.name);
+    let mut out = String::from("\nserving dashboard (per tenant)\n");
     if dash.is_empty() {
         out.push_str("\n(no qserve/ ops series in manifest)\n");
         return out;
@@ -430,7 +398,7 @@ mod tests {
     fn render_shows_every_tenant_block_and_hot_specs() {
         let dash = dashboard(&sample_manifest());
         let text = render(&dash, None, None, 8);
-        assert!(text.contains("qstat: sample"));
+        assert!(text.starts_with("\nserving dashboard"), "{text}");
         assert!(text.contains("tenant 0"));
         assert!(text.contains("tenant 2"));
         assert!(text.contains("hit ratio 90.0%"));

@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use qtrace::json::Json;
+use qtrace::json::{escape, Json};
 
 /// One comparable series extracted from an artifact.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,12 +153,9 @@ impl DiffReport {
         let mut out = String::from("{\n");
         out.push_str(&format!(
             "  \"baseline\": \"{}\",\n",
-            crate::report::escape(&self.baseline)
+            escape(&self.baseline)
         ));
-        out.push_str(&format!(
-            "  \"current\": \"{}\",\n",
-            crate::report::escape(&self.current)
-        ));
+        out.push_str(&format!("  \"current\": \"{}\",\n", escape(&self.current)));
         out.push_str(&format!("  \"tolerance\": {},\n", self.tolerance));
         out.push_str(&format!(
             "  \"has_regression\": {},\n",
@@ -168,7 +165,7 @@ impl DiffReport {
         for (i, r) in self.rows.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"label\": \"{}\", \"baseline\": {}, \"current\": {}, \"ratio\": {}, \"gating\": {}, \"verdict\": \"{}\"}}{}\n",
-                crate::report::escape(&r.label),
+                escape(&r.label),
                 finite(r.base_median),
                 finite(r.cur_median),
                 finite(r.ratio),
@@ -182,7 +179,7 @@ impl DiffReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\"", crate::report::escape(label)));
+            out.push_str(&format!("\"{}\"", escape(label)));
         }
         out.push_str("]\n}\n");
         out
@@ -316,7 +313,7 @@ pub fn manifest_series(manifest: &qtrace::Manifest) -> SeriesSet {
 /// queue-wait p90 over ~30 microsecond-scale waits swings 5× run to
 /// run on an idle machine. Their counts still gate (deterministic),
 /// and the campaign-wide spans cover the actual tail-latency tripwire;
-/// `qstat` is the venue for per-tenant tails.
+/// `xray`'s serving dashboard is the venue for per-tenant tails.
 pub fn gate_spans(set: &mut SeriesSet) {
     for series in set.series.values_mut() {
         if series.label.starts_with("span/")

@@ -10,6 +10,8 @@
 use std::io::Write;
 use std::path::PathBuf;
 
+use qtrace::json::escape;
+
 use crate::stats::{summarize, Summary};
 
 /// A per-figure result set, serialized as `BENCH_<figure>.json`.
@@ -102,20 +104,6 @@ pub fn out_dir() -> PathBuf {
     } else {
         PathBuf::from(".")
     }
-}
-
-/// Minimal JSON string escaping: quotes, backslashes and control bytes.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A JSON-safe number literal (`null` for non-finite values).

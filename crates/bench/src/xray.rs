@@ -1,168 +1,56 @@
-//! Post-mortem analysis of telemetry artifacts: text flamegraph, hot-path
-//! table and counter deltas.
+//! Post-mortem analysis of a qtrace run manifest: text flamegraph,
+//! hot-path table and counter deltas.
 //!
-//! Backs the `xray` binary. Accepts either artifact the harness emits —
-//! a qtrace run manifest (`"qtrace_version"`) or a Chrome Trace Format
-//! export (`"traceEvents"`, written by `--trace`) — and renders:
+//! Backs the `xray` binary, which reads only run manifests (`--manifest`
+//! output). Their spans carry exact p50/p90/p99 tails; the Chrome trace
+//! written by `--trace` is a Perfetto export, and nothing here rebuilds
+//! spans from its begin/end events. It renders:
 //!
 //! * a **flamegraph**: span paths are `/`-separated hierarchies, so they
 //!   aggregate into a tree; each node shows a bar scaled to the hottest
 //!   root, its total wall time and its share;
 //! * the **top-N hot paths** by total wall time, with count, mean and
-//!   the p50/p90/p99 tail quantiles when the artifact carries them;
+//!   the p50/p90/p99 tail quantiles;
 //! * **counters** — absolute values, or deltas against a `--baseline`
-//!   artifact. In a Chrome trace, instant events stand in for counters
-//!   (each occurrence counts 1).
+//!   manifest.
+//!
+//! For a serving run the binary appends the per-tenant dashboard of
+//! [`crate::qstat`].
 
 use std::collections::BTreeMap;
 
-use qtrace::json::Json;
-use qtrace::Manifest;
+use qtrace::{Manifest, SpanStat};
 
-/// Aggregated wall time for one span path.
-#[derive(Debug, Clone, Default)]
-pub struct PathStat {
-    /// Completed occurrences.
-    pub count: u64,
-    /// Total wall time, nanoseconds.
-    pub total_ns: u64,
-    /// Median occurrence, nanoseconds (0 when the artifact lacks it).
-    pub p50_ns: u64,
-    /// 90th percentile, nanoseconds.
-    pub p90_ns: u64,
-    /// 99th percentile, nanoseconds.
-    pub p99_ns: u64,
-}
-
-/// One parsed artifact, reduced to what `xray` renders.
-#[derive(Debug, Clone)]
-pub struct XrayInput {
-    /// Run/figure name stamped in the artifact.
-    pub name: String,
-    /// Span wall time per path.
-    pub spans: BTreeMap<String, PathStat>,
-    /// Counters (manifest) or instant-event occurrences (Chrome trace).
-    pub counters: BTreeMap<String, i64>,
-}
-
-/// Parses an artifact, sniffing the kind from its top-level keys.
-pub fn parse_input(text: &str) -> Result<XrayInput, String> {
-    let json = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    if json.get("qtrace_version").is_some() {
-        let manifest = Manifest::from_json(text).map_err(|e| format!("bad manifest: {e}"))?;
-        Ok(from_manifest(&manifest))
-    } else if json.get("traceEvents").is_some() {
-        from_chrome_trace(&json)
-    } else {
-        Err("unrecognized artifact: expected a qtrace manifest \
-             (\"qtrace_version\") or a Chrome trace (\"traceEvents\")"
-            .to_owned())
-    }
-}
-
-/// Reduces a run manifest to xray's view.
-pub fn from_manifest(manifest: &Manifest) -> XrayInput {
-    let mut spans = BTreeMap::new();
-    for (path, stat) in &manifest.spans {
-        spans.insert(
-            path.clone(),
-            PathStat {
-                count: stat.count,
-                total_ns: stat.total_ns,
-                p50_ns: stat.p50_ns,
-                p90_ns: stat.p90_ns,
-                p99_ns: stat.p99_ns,
-            },
-        );
-    }
-    let counters = manifest
-        .counters
-        .iter()
-        .map(|(name, value)| (name.clone(), *value as i64))
-        .collect();
-    XrayInput {
-        name: manifest.name.clone(),
-        spans,
-        counters,
-    }
-}
-
-/// Rebuilds per-path durations from a Chrome trace by pairing `B`/`E`
-/// events on a per-thread stack (the inverse of `qtrace::export`).
-/// Instant events (`i`) become counter occurrences. Unbalanced events
-/// (an `E` with no open `B`, or `B`s left open at the end) are dropped —
-/// the exporter only writes balanced pairs, but a hand-edited file
-/// should degrade, not error.
-pub fn from_chrome_trace(json: &Json) -> Result<XrayInput, String> {
-    let events = json
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or("\"traceEvents\" is not an array")?;
-    let mut name = String::from("trace");
-    let mut spans: BTreeMap<String, PathStat> = BTreeMap::new();
-    let mut counters: BTreeMap<String, i64> = BTreeMap::new();
-    // Open-span stack per tid: (path, begin ts in µs).
-    let mut open: BTreeMap<u64, Vec<(String, f64)>> = BTreeMap::new();
-    for ev in events {
-        let ph = ev.get("ph").and_then(Json::as_str).unwrap_or("");
-        let ev_name = ev.get("name").and_then(Json::as_str).unwrap_or("");
-        match ph {
-            "M" if ev_name == "process_name" => {
-                if let Some(n) = ev
-                    .get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Json::as_str)
-                {
-                    name = n.to_owned();
-                }
-            }
-            "M" => {}
-            "B" => {
-                let tid = ev.get("tid").and_then(Json::as_u64).unwrap_or(0);
-                let ts = ev.get("ts").and_then(Json::as_f64).unwrap_or(0.0);
-                open.entry(tid).or_default().push((ev_name.to_owned(), ts));
-            }
-            "E" => {
-                let tid = ev.get("tid").and_then(Json::as_u64).unwrap_or(0);
-                let ts = ev.get("ts").and_then(Json::as_f64).unwrap_or(0.0);
-                if let Some((path, begin)) = open.entry(tid).or_default().pop() {
-                    let stat = spans.entry(path).or_default();
-                    stat.count += 1;
-                    stat.total_ns += ((ts - begin).max(0.0) * 1000.0).round() as u64;
-                }
-            }
-            "i" => *counters.entry(ev_name.to_owned()).or_insert(0) += 1,
-            _ => {}
-        }
-    }
-    Ok(XrayInput {
-        name,
-        spans,
-        counters,
+/// Parses the run manifest xray renders. Anything else fails, a Chrome
+/// trace included, with a pointer to the `--manifest` output.
+pub fn parse(text: &str) -> Result<Manifest, String> {
+    Manifest::from_json(text).map_err(|e| {
+        format!(
+            "{e} (xray reads the run manifest that --manifest writes; \
+             a --trace file is for Perfetto)"
+        )
     })
 }
 
-/// Narrows an artifact to one tenant's `qserve/tenant/<id>/...` series
-/// (spans and counters alike). Everything else — global `qserve/*`
-/// counters, compiler series, other tenants — is dropped, so the
-/// flamegraph, hot paths and counter deltas all read per-tenant. Backs
-/// the `--tenant` flag.
-pub fn filter_tenant(input: &XrayInput, tenant: u32) -> XrayInput {
+/// Narrows a manifest to one tenant's `qserve/tenant/<id>/...` series.
+/// Everything else — global `qserve/*` series, compiler series, other
+/// tenants — is dropped, so the flamegraph, hot paths and counter
+/// deltas all read per-tenant. Backs the `--tenant` flag.
+pub fn filter_tenant(manifest: &Manifest, tenant: u32) -> Manifest {
+    fn only<V: Clone>(series: &BTreeMap<String, V>, prefix: &str) -> BTreeMap<String, V> {
+        series
+            .iter()
+            .filter(|(name, _)| name.starts_with(prefix))
+            .map(|(name, value)| (name.clone(), value.clone()))
+            .collect()
+    }
     let prefix = format!("qserve/tenant/{tenant}/");
-    XrayInput {
-        name: format!("{} (tenant {tenant})", input.name),
-        spans: input
-            .spans
-            .iter()
-            .filter(|(path, _)| path.starts_with(&prefix))
-            .map(|(path, stat)| (path.clone(), stat.clone()))
-            .collect(),
-        counters: input
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with(&prefix))
-            .map(|(name, value)| (name.clone(), *value))
-            .collect(),
+    Manifest {
+        spans: only(&manifest.spans, &prefix),
+        counters: only(&manifest.counters, &prefix),
+        gauges: only(&manifest.gauges, &prefix),
+        histograms: only(&manifest.histograms, &prefix),
+        ..Manifest::empty(&format!("{} (tenant {tenant})", manifest.name))
     }
 }
 
@@ -191,7 +79,7 @@ impl Node {
     }
 }
 
-fn build_tree(spans: &BTreeMap<String, PathStat>) -> Node {
+fn build_tree(spans: &BTreeMap<String, SpanStat>) -> Node {
     let mut root = Node::default();
     for (path, stat) in spans {
         let segments: Vec<&str> = path.split('/').collect();
@@ -227,7 +115,8 @@ fn render_node(out: &mut String, name: &str, node: &Node, depth: usize, scale_ns
     }
 }
 
-fn fmt_ns(ns: u64) -> String {
+/// Formats a nanosecond duration with the largest unit it reaches.
+pub(crate) fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.2}s", ns as f64 / 1e9)
     } else if ns >= 1_000_000 {
@@ -241,7 +130,7 @@ fn fmt_ns(ns: u64) -> String {
 
 /// Renders the full report: flamegraph, top-`top` hot paths, counters
 /// (as deltas when `baseline` is given).
-pub fn render(input: &XrayInput, top: usize, baseline: Option<&XrayInput>) -> String {
+pub fn render(input: &Manifest, top: usize, baseline: Option<&Manifest>) -> String {
     let mut out = format!("xray: {}\n", input.name);
 
     out.push_str("\nflamegraph (wall time by span path)\n");
@@ -263,7 +152,7 @@ pub fn render(input: &XrayInput, top: usize, baseline: Option<&XrayInput>) -> St
     }
 
     out.push_str(&format!("\ntop {top} hot paths (by total wall time)\n"));
-    let mut hot: Vec<(&String, &PathStat)> = input.spans.iter().collect();
+    let mut hot: Vec<(&String, &SpanStat)> = input.spans.iter().collect();
     hot.sort_by(|a, b| b.1.total_ns.cmp(&a.1.total_ns).then(a.0.cmp(b.0)));
     if hot.is_empty() {
         out.push_str("  (no spans in artifact)\n");
@@ -309,7 +198,7 @@ pub fn render(input: &XrayInput, top: usize, baseline: Option<&XrayInput>) -> St
             for name in names {
                 let cur = input.counters.get(name).copied().unwrap_or(0);
                 let was = base.counters.get(name).copied().unwrap_or(0);
-                let delta = cur - was;
+                let delta = cur as i64 - was as i64;
                 out.push_str(&format!(
                     "{name:<40} {cur:>12} ({}{delta})\n",
                     if delta >= 0 { "+" } else { "" }
@@ -338,7 +227,7 @@ mod tests {
 
     #[test]
     fn manifest_renders_flamegraph_and_hot_paths() {
-        let input = parse_input(&sample_manifest().to_json()).unwrap();
+        let input = parse(&sample_manifest().to_json()).unwrap();
         let text = render(&input, 10, None);
         assert!(text.contains("xray: fig09_ip_ic"));
         assert!(text.contains("qcompile"));
@@ -350,43 +239,13 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_round_trip_recovers_spans() {
-        let rec = qtrace::Recorder::new();
-        rec.enable();
-        rec.capture_events(true);
-        {
-            let outer = rec.span("qcompile/full");
-            let inner = outer.child("route");
-            std::thread::sleep(Duration::from_millis(2));
-            drop(inner);
-            drop(outer);
-        }
-        rec.instant("qcompile/fallback");
-        let manifest = rec.take_manifest("roundtrip");
-        let trace = qtrace::export::chrome_trace(&manifest);
-
-        let input = parse_input(&trace).unwrap();
-        assert_eq!(input.name, "roundtrip");
-        assert_eq!(input.spans.len(), 2, "{:?}", input.spans);
-        let outer = &input.spans["qcompile/full"];
-        let inner = &input.spans["qcompile/full/route"];
-        assert_eq!(outer.count, 1);
-        assert!(inner.total_ns >= 2_000_000);
-        assert!(outer.total_ns >= inner.total_ns);
-        assert_eq!(input.counters.get("qcompile/fallback"), Some(&1));
-
-        let text = render(&input, 5, None);
-        assert!(text.contains("full"));
-    }
-
-    #[test]
     fn counter_deltas_against_baseline() {
-        let base = from_manifest(&sample_manifest());
+        let base = sample_manifest();
         let rec = qtrace::Recorder::new();
         rec.enable();
         rec.add("qcompile/swaps", 20);
         rec.add("qcompile/fallbacks", 2);
-        let cur = from_manifest(&rec.take_manifest("fig09_ip_ic"));
+        let cur = rec.take_manifest("fig09_ip_ic");
         let text = render(&cur, 5, Some(&base));
         assert!(text.contains("counter deltas"));
         assert!(text.contains("(+8)"), "{text}");
@@ -402,7 +261,7 @@ mod tests {
         rec.add("qserve/requests", 30);
         rec.record_span("qserve/tenant/1/e2e", Duration::from_micros(5));
         rec.record_span("qcompile/route", Duration::from_micros(5));
-        let input = from_manifest(&rec.take_manifest("serve_load"));
+        let input = rec.take_manifest("serve_load");
 
         let one = filter_tenant(&input, 1);
         assert_eq!(one.name, "serve_load (tenant 1)");
@@ -420,7 +279,11 @@ mod tests {
 
     #[test]
     fn unrecognized_artifact_errors() {
-        assert!(parse_input("{\"nope\": 1}").is_err());
-        assert!(parse_input("not json").is_err());
+        assert!(parse("{\"nope\": 1}").is_err());
+        assert!(parse("not json").is_err());
+        // A Chrome trace is refused with a pointer to the manifest.
+        let trace = qtrace::export::chrome_trace(&sample_manifest());
+        let err = parse(&trace).unwrap_err();
+        assert!(err.contains("--manifest"), "{err}");
     }
 }

@@ -7,8 +7,8 @@ use std::process::Command;
 
 /// `(name, CARGO_BIN_EXE path)` for every binary in this crate; the bins
 /// are discovered from `src/bin/`, so this list is the one place they are
-/// enumerated. A listed name with no binary fails to compile, but a new
-/// binary missing from the list goes untested — add it here.
+/// enumerated. A listed name with no binary fails to compile, and
+/// `binaries_list_matches_src_bin` fails on a binary missing from it.
 const BINARIES: &[(&str, &str)] = &[
     ("ablation_ic", env!("CARGO_BIN_EXE_ablation_ic")),
     ("ablation_qaim", env!("CARGO_BIN_EXE_ablation_qaim")),
@@ -35,7 +35,6 @@ const BINARIES: &[(&str, &str)] = &[
     ("fig11b_arg", env!("CARGO_BIN_EXE_fig11b_arg")),
     ("fig12_packing", env!("CARGO_BIN_EXE_fig12_packing")),
     ("param_loop", env!("CARGO_BIN_EXE_param_loop")),
-    ("qstat", env!("CARGO_BIN_EXE_qstat")),
     ("regress", env!("CARGO_BIN_EXE_regress")),
     ("serve_chaos", env!("CARGO_BIN_EXE_serve_chaos")),
     ("serve_load", env!("CARGO_BIN_EXE_serve_load")),
@@ -65,6 +64,21 @@ fn every_binary_answers_help_with_exit_zero() {
             "{name} --help does not name the binary:\n{stdout}"
         );
     }
+}
+
+#[test]
+fn binaries_list_matches_src_bin() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+    let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("readable src/bin entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+        .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    on_disk.sort();
+    let mut listed: Vec<String> = BINARIES.iter().map(|(name, _)| name.to_string()).collect();
+    listed.sort();
+    assert_eq!(listed, on_disk, "BINARIES must name every src/bin/*.rs");
 }
 
 #[test]

@@ -1,12 +1,21 @@
-//! End-to-end check of the `--trace` path: a quick `fig09_ip_ic` run
-//! must produce a Chrome Trace Format file that parses with the crate's
-//! own JSON parser, and `xray` must render a flamegraph from both the
-//! trace and the manifest.
+//! End-to-end checks of the telemetry artifacts and their one reader: a
+//! quick `fig09_ip_ic` run must produce a Chrome Trace Format file that
+//! parses with the crate's own JSON parser, and `xray` must render the
+//! manifest written beside it (and refuse the trace, which is for
+//! Perfetto); on the committed serving baselines `xray --journal` must
+//! append the per-tenant dashboard and the journal tallies.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 use qtrace::json::Json;
+
+fn xray(args: &[&Path]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_xray"))
+        .args(args)
+        .output()
+        .expect("spawn xray")
+}
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -64,23 +73,43 @@ fn fig09_trace_round_trips_and_xray_renders_it() {
         "manifest written beside --trace carries an events section"
     );
 
-    // xray renders both artifact kinds.
-    for artifact in [&trace_path, &manifest_path] {
-        let out = Command::new(env!("CARGO_BIN_EXE_xray"))
-            .arg(artifact)
-            .output()
-            .expect("spawn xray");
-        assert!(
-            out.status.success(),
-            "xray {} failed:\n{}",
-            artifact.display(),
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains("flamegraph"), "{stdout}");
-        assert!(stdout.contains("hot paths"), "{stdout}");
-    }
+    // xray renders the manifest and refuses the trace, pointing at the
+    // manifest.
+    let out = xray(&[&manifest_path]);
+    assert!(
+        out.status.success(),
+        "xray {} failed:\n{}",
+        manifest_path.display(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("flamegraph"), "{stdout}");
+    assert!(stdout.contains("hot paths"), "{stdout}");
+    let out = xray(&[&trace_path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--manifest"), "{stderr}");
 
     let _ = std::fs::remove_file(&trace_path);
     let _ = std::fs::remove_file(&manifest_path);
+}
+
+#[test]
+fn xray_journal_appends_the_serving_dashboard() {
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let manifest = results.join("serve_load.manifest.json");
+    let journal = results.join("serve_load.journal.jsonl");
+    let out = xray(&[&manifest, Path::new("--journal"), &journal]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("flamegraph"), "{stdout}");
+    assert!(stdout.contains("serving dashboard"), "{stdout}");
+    assert!(stdout.contains("tenant 0\n"), "{stdout}");
+    assert!(stdout.contains("hit ratio"), "{stdout}");
+    assert!(stdout.contains("\njournal ("), "{stdout}");
+    assert!(stdout.contains("calibration_reload"), "{stdout}");
 }

@@ -17,6 +17,8 @@
 
 use std::fmt;
 
+use qtrace::json::escape;
+
 use crate::trace::{FallbackRecord, PassTrace};
 
 /// Schema version of the explain JSON document.
@@ -281,20 +283,6 @@ fn opt_num(v: Option<usize>) -> String {
         Some(v) => v.to_string(),
         None => "null".to_owned(),
     }
-}
-
-/// Minimal JSON string escaping (mirrors qtrace's manifest writer).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -71,10 +71,7 @@ mod spill;
 pub use breaker::{BreakerConfig, BucketConfig};
 pub use cache::{spec_fingerprint, CacheKey};
 pub use deadline::{BackoffConfig, QuarantineReason};
-pub use ops::{
-    lifecycle_manifest, render_journal, render_lifecycle, JournalEvent, OpsConfig, RequestTrace,
-    Stage,
-};
+pub use ops::{render_journal, render_lifecycle, JournalEvent, OpsConfig, RequestTrace, Stage};
 pub use service::{
     Outcome, Request, Response, ServeError, Service, ServiceConfig, ServiceStats, Ticket,
 };

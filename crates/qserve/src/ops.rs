@@ -32,10 +32,9 @@
 //!   lines by [`render_journal`].
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qtrace::{Event, EventKind, Histogram, Manifest};
+use qtrace::Histogram;
 
 /// Distinct spec fingerprints the per-spec hot counter tracks before it
 /// stops admitting new keys (existing keys keep counting); the overflow
@@ -624,33 +623,6 @@ pub fn render_lifecycle(traces: &[RequestTrace]) -> String {
     out
 }
 
-/// Builds a [`Manifest`] whose timeline holds one instant event per
-/// lifecycle transition, with the **tenant as the thread id** — fed to
-/// [`qtrace::export::chrome_trace`], Perfetto renders one track per
-/// tenant. Ticks are scaled ×1000 so one logical tick renders as one
-/// microsecond.
-pub fn lifecycle_manifest(name: &str, traces: &[RequestTrace]) -> Manifest {
-    let mut paths: BTreeMap<&'static str, Arc<str>> = BTreeMap::new();
-    let mut manifest = Manifest::empty(name);
-    for trace in traces {
-        for &(stage, tick) in &trace.stages {
-            let path = paths
-                .entry(stage.label())
-                .or_insert_with(|| Arc::from(format!("qserve/{}", stage.label())));
-            manifest.events.push(Event {
-                path: Arc::clone(path),
-                kind: EventKind::Instant,
-                tid: u64::from(trace.tenant),
-                ts_ns: tick.saturating_mul(1000),
-            });
-        }
-    }
-    manifest
-        .events
-        .sort_by(|a, b| (a.ts_ns, a.tid, &a.path).cmp(&(b.ts_ns, b.tid, &b.path)));
-    manifest
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,39 +784,5 @@ mod tests {
             "empty histograms are skipped"
         );
         assert_eq!(m.gauges["qserve/tenant/0/hit_permille"], 0);
-    }
-
-    #[test]
-    fn lifecycle_manifest_exports_one_track_per_tenant() {
-        let traces = vec![
-            RequestTrace {
-                id: 1,
-                tenant: 0,
-                spec_fp: 1,
-                key_fp: 1,
-                stages: vec![(Stage::Admitted, 1), (Stage::Completed, 1)],
-            },
-            RequestTrace {
-                id: 2,
-                tenant: 3,
-                spec_fp: 2,
-                key_fp: 2,
-                stages: vec![(Stage::Admitted, 2), (Stage::Reaped, 7)],
-            },
-        ];
-        let manifest = lifecycle_manifest("lc", &traces);
-        assert_eq!(manifest.events.len(), 4);
-        let tids: std::collections::BTreeSet<u64> = manifest.events.iter().map(|e| e.tid).collect();
-        assert_eq!(tids.into_iter().collect::<Vec<_>>(), vec![0, 3]);
-        assert!(manifest
-            .events
-            .iter()
-            .all(|e| e.kind == EventKind::Instant && e.path.starts_with("qserve/")));
-        // Ticks render as microseconds.
-        assert_eq!(manifest.events.last().map(|e| e.ts_ns), Some(7000));
-        // The export path accepts it.
-        let ctf = qtrace::export::chrome_trace(&manifest);
-        assert!(ctf.contains("\"ph\": \"i\""));
-        assert!(ctf.contains("\"tid\": 3"));
     }
 }

@@ -708,8 +708,7 @@ impl Service {
 
     /// Drains the request lifecycle log: one trace per admitted request,
     /// in admission (request-id) order. Render with
-    /// [`crate::ops::render_lifecycle`] or export via
-    /// [`crate::ops::lifecycle_manifest`].
+    /// [`crate::ops::render_lifecycle`].
     pub fn take_lifecycle(&self) -> Vec<RequestTrace> {
         self.shared.lock().core.ops.lifecycle.take()
     }

@@ -2,7 +2,7 @@
 //!
 //! Two pins. First, [`ServeError::code`] is the vocabulary every
 //! ops-plane artifact speaks — journal lines, per-tenant error
-//! counters, `qstat` breakdowns — so the mapping is pinned verbatim:
+//! counters, `xray` breakdowns — so the mapping is pinned verbatim:
 //! renaming a code silently orphans committed baselines and operator
 //! runbooks. Second, the lifecycle log must *conserve* requests: every
 //! admitted request reaches exactly one terminal stage, whatever mix of

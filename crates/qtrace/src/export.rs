@@ -23,13 +23,14 @@
 //! single `pid` is 1 (one process). Instant events carry `"s": "t"`
 //! (thread scope). Everything is plain JSON produced with the crate's
 //! own string machinery, so the output round-trips through
-//! [`Json::parse`](crate::json::Json::parse) — tests and the `xray`
-//! bench binary rely on that.
+//! [`Json::parse`](crate::json::Json::parse) — the trace tests rely on
+//! that.
 
 use std::io::Write;
 use std::path::Path;
 
-use crate::manifest::{escape, Manifest};
+use crate::json::escape;
+use crate::manifest::Manifest;
 use crate::EventKind;
 
 /// Renders the manifest's event timeline as a Chrome Trace Format JSON

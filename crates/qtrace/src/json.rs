@@ -47,14 +47,11 @@ impl std::error::Error for JsonError {}
 impl Json {
     /// Parses `input`, requiring it to be a single JSON document.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { input, pos: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.input.len() {
             return Err(p.err("trailing characters after document"));
         }
         Ok(value)
@@ -103,8 +100,24 @@ impl Json {
     }
 }
 
+/// Escapes `s` for a JSON string literal: quotes, backslashes and
+/// control bytes. Manifests, traces, explain reports and bench reports
+/// all write their strings through it.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
 }
 
@@ -117,7 +130,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -136,7 +149,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.input[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -233,9 +246,8 @@ impl<'a> Parser<'a> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .input
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
@@ -248,11 +260,12 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
+                    // Consume one UTF-8 scalar. `pos` only ever advances
+                    // past whole scalars, so it sits on a char boundary.
+                    let c = self.input[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("peeked non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -283,7 +296,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
+        let text = &self.input[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(format!("invalid number '{text}'")))
@@ -346,6 +359,27 @@ mod tests {
         assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
         assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("1e300").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A ~0.9 MB string value: a parser quadratic in the input size
+        // takes minutes on it and a linear one milliseconds, so the
+        // bound is far from both.
+        let text = "é∞ab".repeat(1 << 17);
+        let doc = format!("[\"{text}\", 1]");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let parser = std::thread::spawn(move || {
+            let _ = tx.send(Json::parse(&doc));
+        });
+        let parsed = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a ~0.9 MB string parses within 10 s")
+            .unwrap();
+        parser.join().expect("parser thread");
+        let items = parsed.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some(text.as_str()));
+        assert_eq!(items[1].as_u64(), Some(1));
     }
 
     #[test]

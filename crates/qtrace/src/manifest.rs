@@ -47,7 +47,7 @@ use std::io::Write;
 use std::path::Path;
 
 use crate::event::{Event, EventKind};
-use crate::json::Json;
+use crate::json::{escape, Json};
 
 /// Current manifest schema version.
 pub const QTRACE_VERSION: u64 = 2;
@@ -543,20 +543,6 @@ fn entry_u64(entry: &Json, key: &str) -> Result<u64, ManifestError> {
 /// additions read from older documents).
 fn entry_u64_or(entry: &Json, key: &str, default: u64) -> u64 {
     entry.get(key).and_then(Json::as_u64).unwrap_or(default)
-}
-
-/// Minimal JSON string escaping: quotes, backslashes and control bytes.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
