@@ -262,7 +262,9 @@ fn render_tenant(out: &mut String, id: u32, stat: &TenantStat) {
 /// specs, journal tallies. `tenant` narrows to one tenant block (an
 /// unknown id renders an explicit "no series" line rather than erroring
 /// — the manifest may legitimately have skipped an idle tenant). `top`
-/// caps the hot-spec table.
+/// caps the hot-spec table. A manifest without `qserve/` series renders
+/// a notice in place of the series sections, and the journal tallies
+/// still follow it.
 pub fn render(
     dash: &Dashboard,
     journal: Option<&BTreeMap<String, u64>>,
@@ -272,14 +274,37 @@ pub fn render(
     let mut out = String::from("\nserving dashboard (per tenant)\n");
     if dash.is_empty() {
         out.push_str("\n(no qserve/ ops series in manifest)\n");
-        return out;
+    } else {
+        render_series(&mut out, dash, tenant, top);
     }
 
+    if let Some(tallies) = journal {
+        let total: u64 = tallies.values().sum();
+        out.push_str(&format!(
+            "\njournal ({total} event{}{})\n",
+            if total == 1 { "" } else { "s" },
+            tenant
+                .map(|id| format!(", tenant {id} only"))
+                .unwrap_or_default(),
+        ));
+        if tallies.is_empty() {
+            out.push_str("  (no events)\n");
+        }
+        for (event, count) in tallies {
+            out.push_str(&format!("  {event:<22} {count:>8}\n"));
+        }
+    }
+    out
+}
+
+/// The manifest-series sections of [`render`]: tenant blocks, hot specs
+/// and the quarantine and lifecycle notices.
+fn render_series(out: &mut String, dash: &Dashboard, tenant: Option<u32>, top: usize) {
     match tenant {
         Some(id) => {
             out.push('\n');
             match dash.tenants.get(&id).filter(|s| !s.is_empty()) {
-                Some(stat) => render_tenant(&mut out, id, stat),
+                Some(stat) => render_tenant(out, id, stat),
                 None => out.push_str(&format!("tenant {id}\n  (no series recorded)\n")),
             }
         }
@@ -289,7 +314,7 @@ pub fn render(
                     continue;
                 }
                 out.push('\n');
-                render_tenant(&mut out, *id, stat);
+                render_tenant(out, *id, stat);
             }
         }
     }
@@ -329,24 +354,6 @@ pub fn render(
             ));
         }
     }
-
-    if let Some(tallies) = journal {
-        let total: u64 = tallies.values().sum();
-        out.push_str(&format!(
-            "\njournal ({total} event{}{})\n",
-            if total == 1 { "" } else { "s" },
-            tenant
-                .map(|id| format!(", tenant {id} only"))
-                .unwrap_or_default(),
-        ));
-        if tallies.is_empty() {
-            out.push_str("  (no events)\n");
-        }
-        for (event, count) in tallies {
-            out.push_str(&format!("  {event:<22} {count:>8}\n"));
-        }
-    }
-    out
 }
 
 #[cfg(test)]

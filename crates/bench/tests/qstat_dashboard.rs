@@ -70,3 +70,29 @@ fn committed_serve_chaos_journal_tallies_every_failure_mechanism() {
         );
     }
 }
+
+#[test]
+fn journal_tallies_follow_a_manifest_without_serving_series() {
+    // `xray --journal` beside a compile manifest: the dashboard has no
+    // qserve/ series to show, but the journal it was handed still renders.
+    let manifest = qtrace::Manifest::from_json(&read("compile_throughput.manifest.json"))
+        .expect("committed manifest parses");
+    let dash = dashboard(&manifest);
+    assert!(dash.is_empty(), "compile manifest carries qserve/ series");
+    let tallies =
+        journal_tallies(&read("serve_load.journal.jsonl"), None).expect("committed journal parses");
+
+    let text = render(&dash, Some(&tallies), None, 8);
+    assert!(
+        text.contains("(no qserve/ ops series in manifest)"),
+        "{text}"
+    );
+    let total: u64 = tallies.values().sum();
+    assert!(text.contains(&format!("journal ({total} event")), "{text}");
+    for event in tallies.keys() {
+        assert!(
+            text.contains(event.as_str()),
+            "tally {event} missing: {text}"
+        );
+    }
+}

@@ -109,6 +109,36 @@ impl fmt::Display for Instruction {
     }
 }
 
+/// What one [`Circuit::census`] walk counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Census {
+    /// [`Circuit::depth`].
+    pub depth: usize,
+    /// [`Circuit::gate_count`]: every instruction but measurements.
+    pub gates: usize,
+    /// [`Gate::Cnot`] instructions.
+    pub cx: usize,
+    /// Instructions carrying a symbolic angle.
+    pub parametric: usize,
+}
+
+/// Schedules `instr` one level past the latest frontier of its operands,
+/// advances those frontiers and returns the level: the as-soon-as-possible
+/// rule that defines [`Circuit::depth`].
+fn schedule(frontier: &mut [usize], instr: &Instruction) -> usize {
+    let q0 = instr.q0 as usize;
+    if instr.gate.arity() == 1 {
+        frontier[q0] += 1;
+        frontier[q0]
+    } else {
+        let q1 = instr.q1 as usize;
+        let level = frontier[q0].max(frontier[q1]) + 1;
+        frontier[q0] = level;
+        frontier[q1] = level;
+        level
+    }
+}
+
 /// An ordered sequence of gate applications over `num_qubits` qubits.
 ///
 /// The instruction order is program order; concurrency ("layers", the
@@ -418,26 +448,27 @@ impl Circuit {
     /// the incremental router computes a fragment depth per routed layer,
     /// and reusing the buffer keeps that path allocation-free.
     pub fn depth_from_with(&self, start: usize, frontier: &mut Vec<usize>) -> usize {
-        // Hot in telemetry and explain paths: track operands via
-        // q0/q1/arity directly instead of allocating `qubit_vec` twice
-        // per instruction.
         frontier.clear();
         frontier.resize(self.num_qubits, 0);
-        let mut depth = 0;
-        for instr in &self.instructions[start..] {
-            let q0 = instr.q0();
-            let level = if instr.gate().arity() == 1 {
-                frontier[q0] + 1
-            } else {
-                frontier[q0].max(frontier[instr.q1()]) + 1
-            };
-            frontier[q0] = level;
-            if instr.gate().arity() != 1 {
-                frontier[instr.q1()] = level;
-            }
-            depth = depth.max(level);
+        self.instructions[start..]
+            .iter()
+            .fold(0, |depth, instr| depth.max(schedule(frontier, instr)))
+    }
+
+    /// Depth, gate count, CNOT count and symbolic-angle count in one walk
+    /// over the instructions: what a compile reports about each circuit it
+    /// outputs, without walking it once per figure.
+    pub fn census(&self) -> Census {
+        let mut frontier = vec![0; self.num_qubits];
+        let mut census = Census::default();
+        for instr in &self.instructions {
+            census.depth = census.depth.max(schedule(&mut frontier, instr));
+            let gate = instr.gate;
+            census.gates += usize::from(gate.is_unitary());
+            census.cx += usize::from(matches!(gate, Gate::Cnot));
+            census.parametric += usize::from(gate.is_parametric());
         }
-        depth
+        census
     }
 
     /// Total number of instructions excluding measurements — the paper's
@@ -746,6 +777,35 @@ mod tests {
         assert_eq!(c.depth(), 2);
         c.cx(1, 2);
         assert_eq!(c.depth(), 3);
+    }
+
+    #[test]
+    fn census_matches_separate_walks() {
+        let mut c = Circuit::new(4);
+        let gamma = c.declare_param("gamma");
+        assert_eq!(c.census(), Census::default());
+        c.h(0);
+        c.cx(0, 1);
+        c.rzz(Angle::sym(gamma), 1, 2);
+        c.swap(2, 3);
+        c.rx(0.3, 3);
+        c.cx(3, 0);
+        c.measure_all();
+        let lowered = crate::basis::to_basis(&c, crate::basis::BasisSet::Ibm).unwrap();
+        for circuit in [&c, &lowered] {
+            let parametric = circuit.iter().filter(|i| i.gate().is_parametric()).count();
+            assert_eq!(
+                circuit.census(),
+                Census {
+                    depth: circuit.depth(),
+                    gates: circuit.gate_count(),
+                    cx: circuit.count_gate("cx"),
+                    parametric,
+                }
+            );
+        }
+        assert_eq!(c.census().cx, 2);
+        assert_eq!(c.census().parametric, 1);
     }
 
     #[test]

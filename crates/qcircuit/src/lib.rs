@@ -55,7 +55,7 @@ pub mod param;
 pub mod qasm;
 mod qasm_parse;
 
-pub use circuit::{Circuit, Instruction};
+pub use circuit::{Census, Circuit, Instruction};
 pub use error::CircuitError;
 pub use gate::Gate;
 pub use param::{Angle, ParamId, ParamTable, ParamValues};

@@ -17,6 +17,7 @@
 
 use std::fmt;
 
+use qcircuit::Census;
 use qtrace::json::escape;
 
 use crate::trace::{FallbackRecord, PassTrace};
@@ -96,9 +97,7 @@ impl Explain {
         trace: &PassTrace,
         layers: Vec<ExplainLayer>,
         swap_count: usize,
-        basis_depth: usize,
-        gate_count: usize,
-        cx_count: usize,
+        basis: Census,
     ) -> Explain {
         Explain {
             config,
@@ -118,9 +117,9 @@ impl Explain {
             layers,
             fallbacks: trace.fallbacks().to_vec(),
             swap_count,
-            basis_depth,
-            gate_count,
-            cx_count,
+            basis_depth: basis.depth,
+            gate_count: basis.gates,
+            cx_count: basis.cx,
         }
     }
 
@@ -323,9 +322,12 @@ mod tests {
                 },
             ],
             2,
-            17,
-            40,
-            12,
+            Census {
+                depth: 17,
+                gates: 40,
+                cx: 12,
+                parametric: 0,
+            },
         )
     }
 

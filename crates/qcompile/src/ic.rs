@@ -15,9 +15,9 @@
 
 use std::cell::RefCell;
 
-use qcircuit::Circuit;
+use qcircuit::{Circuit, Gate, Instruction};
 use qhw::Topology;
-use qroute::{route_append, Layout, RoutingMetric};
+use qroute::{try_route_layer, Layout, RoutingMetric};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -68,9 +68,10 @@ struct ScoredOp {
 /// Reusable per-thread scratch for the incremental compiler: every
 /// per-round buffer (remaining/spill/layer op lists, the occupancy
 /// bitset, the dirty-qubit table, the previous-mapping snapshot, the
-/// partial circuit handed to the router and the telemetry marks) is
+/// layer's gates handed to the router and the telemetry marks) is
 /// allocated once per thread and reset per use, so a steady-state compile
 /// performs no per-layer heap allocation on this path.
+#[derive(Default)]
 struct IcScratch {
     remaining: Vec<ScoredOp>,
     spill: Vec<ScoredOp>,
@@ -80,29 +81,13 @@ struct IcScratch {
     /// Logical-qubit occupancy of the layer being packed, one bit per
     /// qubit in `u64` words.
     occupied: Vec<u64>,
-    partial: Circuit,
+    /// The packed layer as logical CPHASE instructions, in packing order.
+    gates: Vec<Instruction>,
     layer_marks: Vec<u64>,
     /// Bucket offsets and the output buffer of the stable hop-key
     /// counting sort ([`sort_remaining_by_dist`]).
     sort_counts: Vec<usize>,
     sort_tmp: Vec<ScoredOp>,
-}
-
-impl Default for IcScratch {
-    fn default() -> Self {
-        IcScratch {
-            remaining: Vec::new(),
-            spill: Vec::new(),
-            layer: Vec::new(),
-            dirty: Vec::new(),
-            prev_mapping: Vec::new(),
-            occupied: Vec::new(),
-            partial: Circuit::new(0),
-            layer_marks: Vec::new(),
-            sort_counts: Vec::new(),
-            sort_tmp: Vec::new(),
-        }
-    }
 }
 
 /// Sorts `ops` ascending by cached distance, preserving the order of
@@ -193,10 +178,10 @@ fn stitch_reserve(spec: &QaoaSpec) -> usize {
 /// thread and API boundaries.
 ///
 /// This is the allocation-disciplined engine: op lists, occupancy bitsets
-/// and the per-layer partial circuit live in thread-local scratch; routed
-/// layers are emitted straight into the output via
-/// [`qroute::route_append`] (no intermediate circuit + `append` copy);
-/// and the distance sort keys are maintained incrementally under the
+/// and the per-layer gate list live in thread-local scratch; each packed
+/// layer goes to [`qroute::try_route_layer`] as a slice and is routed
+/// straight into the output (no partial circuit, no `append` copy); and
+/// the distance sort keys are maintained incrementally under the
 /// drifting layout. Its observable output is **bit-for-bit identical** to
 /// the frozen pre-rewrite engine in `crate::reference` — the
 /// `compile_equivalence` suite pins that across seeds, topologies and
@@ -226,15 +211,12 @@ pub fn try_compile_incremental_with<R: Rng + ?Sized>(
             dirty,
             prev_mapping,
             occupied,
-            partial,
+            gates,
             layer_marks,
             sort_counts,
             sort_tmp,
         } = &mut *scratch;
         layer_marks.clear();
-        if partial.num_qubits() != n_logical {
-            *partial = Circuit::new(n_logical);
-        }
         dirty.clear();
         dirty.resize(n_logical, false);
         let words = n_logical.div_ceil(64);
@@ -298,15 +280,18 @@ pub fn try_compile_incremental_with<R: Rng + ?Sized>(
                 }
                 std::mem::swap(remaining, spill);
                 cphase_layers += 1;
-                // Route the partial circuit holding just this layer,
-                // emitting straight into the stitched output.
-                partial.clear();
-                for s in layer.iter() {
-                    partial.rzz(s.op.angle, s.op.a, s.op.b);
-                }
+                // Route just this layer, emitting straight into the
+                // stitched output.
+                gates.clear();
+                gates.extend(
+                    layer
+                        .iter()
+                        .map(|s| Instruction::two(Gate::Rzz(s.op.angle), s.op.a, s.op.b)),
+                );
                 prev_mapping.clear();
                 prev_mapping.extend_from_slice(layout.as_mapping());
-                let routed = route_append(partial, topology, layout, metric, &mut out)?;
+                let (swaps, routed_depth) =
+                    try_route_layer(gates, topology, &mut layout, metric, &mut out)?;
                 // Timeline marker per packed layer; timestamps buffer
                 // locally and flush in one batch after the level loop.
                 if q.events_enabled() {
@@ -315,11 +300,10 @@ pub fn try_compile_incremental_with<R: Rng + ?Sized>(
                 layers.push(LayerRecord {
                     level,
                     gates: layer.iter().map(|s| (s.op.a, s.op.b)).collect(),
-                    swaps: routed.swap_count,
-                    routed_depth: routed.routed_depth,
+                    swaps,
+                    routed_depth,
                 });
-                layout = routed.final_layout;
-                swap_count += routed.swap_count;
+                swap_count += swaps;
                 // Re-score only the ops whose operands the router moved.
                 if resort && !remaining.is_empty() {
                     let mut any_moved = false;

@@ -258,7 +258,7 @@ impl CompiledCircuit {
         swap_count: usize,
     ) -> CompiledCircuit {
         let trace = PassTrace::new();
-        let basis_depth = basis.depth();
+        let basis_census = basis.census();
         let explain = Explain::from_parts(
             "RECOVERED".to_owned(),
             initial_layout.num_logical(),
@@ -268,22 +268,15 @@ impl CompiledCircuit {
             &trace,
             Vec::new(),
             swap_count,
-            basis_depth,
-            basis.gate_count(),
-            basis.count_gate("cx"),
+            basis_census,
         );
-        let parametric_gates = physical
-            .iter()
-            .chain(basis.iter())
-            .filter(|i| i.gate().is_parametric())
-            .count();
         CompiledCircuit {
+            parametric_gates: physical.census().parametric + basis_census.parametric,
             physical,
             basis,
             initial_layout,
             final_layout,
             swap_count,
-            parametric_gates,
             trace: Arc::new(trace),
             explain: Arc::new(explain),
         }
@@ -310,19 +303,22 @@ impl CompiledCircuit {
         &self.final_layout
     }
 
-    /// Circuit depth of the basis-lowered circuit.
+    /// Circuit depth of the basis-lowered circuit, as recorded at compile
+    /// time in [`Explain::basis_depth`].
     pub fn depth(&self) -> usize {
-        self.basis.depth()
+        self.explain.basis_depth
     }
 
-    /// Gate count (excluding measurements) of the basis-lowered circuit.
+    /// Gate count (excluding measurements) of the basis-lowered circuit,
+    /// as recorded at compile time in [`Explain::gate_count`].
     pub fn gate_count(&self) -> usize {
-        self.basis.gate_count()
+        self.explain.gate_count
     }
 
-    /// CNOT count of the basis-lowered circuit.
+    /// CNOT count of the basis-lowered circuit, as recorded at compile
+    /// time in [`Explain::cx_count`].
     pub fn cx_count(&self) -> usize {
-        self.basis.count_gate("cx")
+        self.explain.cx_count
     }
 
     /// Number of SWAPs the router inserted.
@@ -640,7 +636,10 @@ fn compile_once(
     check_pass_budget(options, enforce_budgets, mapping_pass.name(), elapsed)?;
     cancel.check()?;
 
-    let (physical, final_layout, swap_count, layers) = match options.compilation.routing_stage() {
+    let (physical, physical_census, final_layout, swap_count, layers) = match options
+        .compilation
+        .routing_stage()
+    {
         RoutingStage::Full => {
             // IP's bin packer cannot form a layer under a zero limit;
             // report it as the incremental engine does. Random order
@@ -669,12 +668,8 @@ fn compile_once(
                 &metric,
             )?;
             let elapsed = pass.finish();
-            trace.push(
-                "route",
-                elapsed,
-                routed.swap_count,
-                Some(routed.circuit.depth()),
-            );
+            let census = routed.circuit.census();
+            trace.push("route", elapsed, routed.swap_count, Some(census.depth));
             check_pass_budget(options, enforce_budgets, "route", elapsed)?;
             // ASAP layers of the full circuit may span QAOA levels and
             // interleave with mixer walls, so level and per-layer depth
@@ -692,6 +687,7 @@ fn compile_once(
                 .collect();
             (
                 routed.circuit,
+                census,
                 routed.final_layout,
                 routed.swap_count,
                 layers,
@@ -723,7 +719,8 @@ fn compile_once(
                 rng,
             )?;
             let elapsed = pass.finish();
-            trace.push(name, elapsed, r.swap_count, Some(r.circuit.depth()));
+            let census = r.circuit.census();
+            trace.push(name, elapsed, r.swap_count, Some(census.depth));
             check_pass_budget(options, enforce_budgets, name, elapsed)?;
             // The result is consumed here, so the per-layer gate lists
             // move into the report without copies.
@@ -737,7 +734,7 @@ fn compile_once(
                     routed_depth: Some(l.routed_depth),
                 })
                 .collect();
-            (r.circuit, r.final_layout, r.swap_count, layers)
+            (r.circuit, census, r.final_layout, r.swap_count, layers)
         }
     };
 
@@ -753,16 +750,16 @@ fn compile_once(
     let pass = run.child("lower-to-basis");
     let basis = to_basis(&physical, BasisSet::Ibm)
         .map_err(|e| CompileError::BasisLowering(e.to_string()))?;
-    // Depth is an O(gates) walk; compute it once for the pass trace, the
-    // telemetry gauge and the explain report.
-    let basis_depth = basis.depth();
-    trace.push("lower-to-basis", pass.finish(), 0, Some(basis_depth));
+    // One walk counts every figure the pass trace, the telemetry gauge and
+    // the explain report need.
+    let basis_census = basis.census();
+    trace.push("lower-to-basis", pass.finish(), 0, Some(basis_census.depth));
 
     let q = qtrace::global();
     if q.is_enabled() {
         q.add("qcompile/runs", 1);
         q.add("qcompile/swaps", swap_count as u64);
-        q.gauge_max("qcompile/basis_depth", basis_depth as u64);
+        q.gauge_max("qcompile/basis_depth", basis_census.depth as u64);
         q.observe("qcompile/run_swaps", swap_count as u64);
     }
     run.finish();
@@ -777,23 +774,16 @@ fn compile_once(
         &trace,
         layers,
         swap_count,
-        basis_depth,
-        basis.gate_count(),
-        basis.count_gate("cx"),
+        basis_census,
     );
 
-    let parametric_gates = physical
-        .iter()
-        .chain(basis.iter())
-        .filter(|i| i.gate().is_parametric())
-        .count();
     Ok(CompiledCircuit {
         physical,
         basis,
         initial_layout,
         final_layout,
         swap_count,
-        parametric_gates,
+        parametric_gates: physical_census.parametric + basis_census.parametric,
         trace: Arc::new(trace),
         explain: Arc::new(explain),
     })
@@ -1252,6 +1242,65 @@ mod tests {
         assert_eq!(o.config_name(), "VIC");
         // The default policy is inert so existing behavior is untouched.
         assert_eq!(Resilience::default(), CompileOptions::ic().resilience);
+    }
+
+    #[test]
+    fn recorded_figures_equal_fresh_walks() {
+        // depth, gate_count, cx_count and parametric_gate_count report
+        // what the compile's census walk recorded: each must equal a fresh
+        // walk of the circuits, for every configuration, bound or
+        // parametric, after bind and after recovery from parts.
+        let topo = Topology::ibmq_20_tokyo();
+        let mut cal_rng = StdRng::seed_from_u64(3);
+        let cal = Calibration::random_normal(&topo, 1e-2, 5e-3, &mut cal_rng);
+        let context = HardwareContext::with_calibration(topo, cal);
+        let mut g_rng = StdRng::seed_from_u64(8);
+        let g = qgraph::generators::connected_erdos_renyi(14, 0.4, 1000, &mut g_rng).unwrap();
+        let problem = MaxCut::without_optimum(g);
+        let params = QaoaParams::new(vec![(0.5, 0.3), (0.2, 0.7)]);
+        let bound = QaoaSpec::from_maxcut(&problem, &params, true);
+        let parametric = QaoaSpec::from_maxcut_parametric(&problem, 2, true);
+        let check = |c: &CompiledCircuit, what: &str| {
+            let basis = c.basis_circuit();
+            assert_eq!(c.depth(), basis.depth(), "{what}: depth");
+            assert_eq!(c.gate_count(), basis.gate_count(), "{what}: gate count");
+            assert_eq!(c.cx_count(), basis.count_gate("cx"), "{what}: cx count");
+            let parametric = c
+                .physical()
+                .iter()
+                .chain(basis.iter())
+                .filter(|i| i.gate().is_parametric())
+                .count();
+            assert_eq!(c.parametric_gate_count(), parametric, "{what}: parametric");
+        };
+        for options in [
+            CompileOptions::naive(),
+            CompileOptions::qaim_only(),
+            CompileOptions::ip(),
+            CompileOptions::ic(),
+            CompileOptions::vic(),
+        ] {
+            for spec in [&bound, &parametric] {
+                let what = format!("{options}, parametric={}", spec.is_parametric());
+                let mut rng = StdRng::seed_from_u64(4);
+                let artifact =
+                    try_compile_artifact_with_context(spec, &context, &options, &mut rng).unwrap();
+                let t = artifact.template();
+                check(t, &what);
+                let recovered = CompiledCircuit::from_recovered_parts(
+                    t.physical().clone(),
+                    t.basis_circuit().clone(),
+                    t.initial_layout().clone(),
+                    t.final_layout().clone(),
+                    t.swap_count(),
+                );
+                check(&recovered, &format!("{what}, recovered"));
+                if spec.is_parametric() {
+                    let rebound = artifact.bind(&params.to_values()).unwrap();
+                    check(&rebound, &format!("{what}, bound"));
+                }
+            }
+        }
     }
 
     #[test]

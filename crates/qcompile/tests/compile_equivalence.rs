@@ -17,6 +17,8 @@
 //! context cache and multi-worker batches) are byte-identical across
 //! repetition, entry point and worker count, down to the Explain JSON.
 
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
 use proptest::prelude::*;
 use qcompile::reference;
 use qcompile::{
@@ -25,9 +27,62 @@ use qcompile::{
 };
 use qgraph::shortest_path::path_tree_builds_on_this_thread;
 use qhw::{Calibration, HardwareContext, Topology};
-use qroute::{route_append, try_route, Layout, RoutingMetric};
+use qroute::{try_route, try_route_layer, Layout, RoutingMetric};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+/// The qtrace recorder is process-global. The one test that turns it on
+/// holds this lock for writing and every other test that routes holds it
+/// for reading, so no concurrent compile records into the counters that
+/// test compares.
+static RECORDER: RwLock<()> = RwLock::new(());
+
+/// Holds the recorder off for the calling test's duration.
+fn recorder_off() -> RwLockReadGuard<'static, ()> {
+    RECORDER.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Every `qroute/*` figure of a drained manifest: counters, gauges,
+/// histograms and the route span's call count.
+fn qroute_series(m: &qtrace::Manifest) -> (Vec<(&str, u64)>, Vec<&qtrace::Histogram>, u64) {
+    let scalars = m
+        .counters
+        .iter()
+        .chain(&m.gauges)
+        .filter(|(name, _)| name.starts_with("qroute/"))
+        .map(|(name, &v)| (name.as_str(), v))
+        .collect();
+    let histograms = m
+        .histograms
+        .iter()
+        .filter(|(name, _)| name.starts_with("qroute/"))
+        .map(|(_, h)| h)
+        .collect();
+    (
+        scalars,
+        histograms,
+        m.spans.get("qroute/route").map_or(0, |s| s.count),
+    )
+}
+
+/// The topology and metric a router case runs on: tokyo, melbourne (its
+/// real calibration) or heavy-hex(2, 2), under the hop metric or VIC's.
+fn router_target(topo_idx: usize, vic: bool) -> (Topology, RoutingMetric) {
+    let (topo, cal) = if topo_idx == 1 {
+        Calibration::melbourne_2020_04_08()
+    } else {
+        let t = pick_topology(topo_idx);
+        let c = Calibration::uniform(&t, 0.02, 0.001, 0.02);
+        (t, c)
+    };
+    let metric = if vic {
+        RoutingMetric::reliability(&topo, &cal)
+    } else {
+        RoutingMetric::hops(&topo)
+    };
+    (topo, metric)
+}
 
 /// A MaxCut QAOA spec over a connected ER instance — the paper's workload
 /// shape.
@@ -73,6 +128,7 @@ proptest! {
         limit in proptest::option::of(1usize..5),
         resort_idx in 0usize..2,
     ) {
+        let _recorder = recorder_off();
         let topo = pick_topology(topo_idx);
         let n = topo.num_qubits().min(14);
         let p = [0.2, 0.4, 0.6][density_idx];
@@ -100,6 +156,7 @@ proptest! {
         density_idx in 0usize..3,
         limit in proptest::option::of(2usize..6),
     ) {
+        let _recorder = recorder_off();
         let (topo, cal) = Calibration::melbourne_2020_04_08();
         let p = [0.2, 0.4, 0.6][density_idx];
         let spec = er_spec(12, p, seed, true);
@@ -125,18 +182,8 @@ proptest! {
         density_idx in 0usize..2,
         vic in 0usize..2,
     ) {
-        let (topo, cal) = if topo_idx == 1 {
-            Calibration::melbourne_2020_04_08()
-        } else {
-            let t = pick_topology(topo_idx);
-            let c = Calibration::uniform(&t, 0.02, 0.001, 0.02);
-            (t, c)
-        };
-        let metric = if vic == 0 {
-            RoutingMetric::hops(&topo)
-        } else {
-            RoutingMetric::reliability(&topo, &cal)
-        };
+        let _recorder = recorder_off();
+        let (topo, metric) = router_target(topo_idx, vic == 1);
         let n = topo.num_qubits().min(14);
         let p = [0.3, 0.6][density_idx];
         let mut rng = StdRng::seed_from_u64(seed);
@@ -154,20 +201,55 @@ proptest! {
         }
         let layout = Layout::random(n, topo.num_qubits(), &mut rng);
         let live = try_route(&c, &topo, layout.clone(), &metric).unwrap();
-        let frozen = reference::try_route(&c, &topo, layout.clone(), &metric).unwrap();
+        let frozen = reference::try_route(&c, &topo, layout, &metric).unwrap();
         prop_assert_eq!(live.circuit.instructions(), frozen.circuit.instructions());
         prop_assert_eq!(&live.final_layout, &frozen.final_layout);
         prop_assert_eq!(live.swap_count, frozen.swap_count);
         prop_assert_eq!(live.layer_stats, frozen.layer_stats);
+    }
 
-        // The direct-emission append path is the same byte stream again.
+    /// The single-layer entry point IC routes through against `try_route`
+    /// on one-layer circuits (a random matching of the logical qubits):
+    /// the same instructions, layout, SWAPs and fragment depth, and the
+    /// same `qroute/*` telemetry.
+    #[test]
+    fn layer_router_matches_try_route(
+        seed in 0u64..10_000,
+        topo_idx in 0usize..3,
+        vic in 0usize..2,
+    ) {
+        let (topo, metric) = router_target(topo_idx, vic == 1);
+        let n = topo.num_qubits().min(14);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut qubits: Vec<usize> = (0..n).collect();
+        qubits.shuffle(&mut rng);
+        let pairs = rng.gen_range(1..=n / 2);
+        let mut c = qcircuit::Circuit::new(n);
+        for pair in qubits.chunks_exact(2).take(pairs) {
+            c.rzz(0.37, pair[0], pair[1]);
+        }
+        let layout = Layout::random(n, topo.num_qubits(), &mut rng);
+
+        let recorder = RECORDER.write().unwrap_or_else(PoisonError::into_inner);
+        qtrace::enable();
+        drop(qtrace::take("before"));
+        let whole = try_route(&c, &topo, layout.clone(), &metric).unwrap();
+        let whole_telemetry = qtrace::take("try_route");
         let mut direct = qcircuit::Circuit::new(topo.num_qubits());
-        direct.set_param_table(c.param_table().clone());
-        let stats = route_append(&c, &topo, layout, &metric, &mut direct).unwrap();
-        prop_assert_eq!(direct.instructions(), frozen.circuit.instructions());
-        prop_assert_eq!(stats.final_layout, frozen.final_layout);
-        prop_assert_eq!(stats.swap_count, frozen.swap_count);
-        prop_assert_eq!(stats.routed_depth, frozen.circuit.depth());
+        let mut direct_layout = layout;
+        let (swaps, depth) =
+            try_route_layer(c.instructions(), &topo, &mut direct_layout, &metric, &mut direct)
+                .unwrap();
+        let layer_telemetry = qtrace::take("try_route_layer");
+        qtrace::disable();
+        drop(recorder);
+
+        prop_assert_eq!(direct.instructions(), whole.circuit.instructions());
+        prop_assert_eq!(direct_layout, whole.final_layout);
+        prop_assert_eq!(swaps, whole.swap_count);
+        prop_assert_eq!(depth, whole.circuit.depth());
+        prop_assert_eq!(qroute_series(&layer_telemetry), qroute_series(&whole_telemetry));
+        prop_assert_eq!(qroute_series(&whole_telemetry).2, 1);
     }
 
     /// The bitset bin-packer against the frozen `Vec<Vec<bool>>` packer.
@@ -197,6 +279,7 @@ proptest! {
 /// and only the ordering rule chooses among equal paths.
 #[test]
 fn heavy_hex_compiles_match_frozen_reference() {
+    let _recorder = recorder_off();
     let topo = Topology::heavy_hex(6, 7);
     let mut cal_rng = StdRng::seed_from_u64(0x4E4E);
     let random = Calibration::random_normal(&topo, 1e-2, 0.5e-2, &mut cal_rng);
@@ -266,6 +349,7 @@ fn fingerprint(artifact: &CompiledArtifact) -> (Vec<u8>, String) {
 /// rewrites the configuration.
 #[test]
 fn pipeline_runs_are_byte_identical_across_entry_points_and_ladder() {
+    let _recorder = recorder_off();
     let topo = Topology::ibmq_20_tokyo();
     let context = HardwareContext::new(topo.clone());
     let spec = er_spec(14, 0.4, 99, true);
@@ -306,6 +390,7 @@ fn pipeline_runs_are_byte_identical_across_entry_points_and_ladder() {
 /// execution order, never results).
 #[test]
 fn batch_results_are_worker_count_invariant() {
+    let _recorder = recorder_off();
     let topo = Topology::ibmq_20_tokyo();
     let context = HardwareContext::new(topo);
     let jobs: Vec<BatchJob> = (0..10)

@@ -45,5 +45,5 @@ pub use error::RouteError;
 pub use fidelity::success_probability;
 pub use layout::Layout;
 pub use metric::RoutingMetric;
-pub use router::{route, route_append, try_route, AppendStats, RouteLayerStat, RouteResult};
+pub use router::{route, try_route, try_route_layer, RouteLayerStat, RouteResult};
 pub use verify::{routed_equivalent, satisfies_coupling};

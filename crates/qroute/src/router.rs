@@ -34,20 +34,6 @@ pub struct RouteLayerStat {
     pub swaps: usize,
 }
 
-/// What [`route_append`] reports about the fragment it emitted: the
-/// stitched instructions live in the caller's output circuit, so only the
-/// mapping state and the fragment's cost figures come back.
-#[derive(Debug, Clone)]
-pub struct AppendStats {
-    /// The logical→physical layout after the fragment's SWAPs.
-    pub final_layout: Layout,
-    /// Number of SWAP gates inserted for the fragment.
-    pub swap_count: usize,
-    /// Depth of the emitted fragment, measured as if it were a standalone
-    /// circuit (what [`RouteResult::circuit`]`.depth()` would report).
-    pub routed_depth: usize,
-}
-
 /// Reusable per-thread routing scratch: the ASAP layer partition, the
 /// per-layer two-qubit staging buffer, every buffer the layer router and
 /// its path walks need, and the telemetry staging vectors. One routing call
@@ -87,7 +73,10 @@ struct LayerRouteBufs {
     /// candidate deltas subtract these instead of looking the unchanged
     /// "before" distance up again per candidate.
     cur_dist: Vec<f64>,
-    unsat: Vec<(usize, usize)>,
+    /// Indices of the gates whose endpoints are not coupled, ascending —
+    /// the layer order every scan and tie rule iterates in. A SWAP moves
+    /// at most two gates, so only their entries change per step.
+    unsat: Vec<usize>,
     path: Vec<usize>,
     serial: Vec<Instruction>,
 }
@@ -146,75 +135,6 @@ pub fn try_route(
     initial_layout: Layout,
     metric: &RoutingMetric,
 ) -> Result<RouteResult, RouteError> {
-    let mut out = Circuit::new(topology.num_qubits());
-    // Routing only permutes qubits; symbolic angles (and the table that
-    // names them) pass through untouched.
-    out.set_param_table(circuit.param_table().clone());
-    let mut layer_stats: Vec<RouteLayerStat> = Vec::new();
-    let (final_layout, swap_count, _) = route_core(
-        circuit,
-        topology,
-        initial_layout,
-        metric,
-        &mut out,
-        Some(&mut layer_stats),
-    )?;
-    Ok(RouteResult {
-        circuit: out,
-        final_layout,
-        swap_count,
-        layer_stats,
-    })
-}
-
-/// [`try_route`], emitting the routed fragment **directly into `out`**
-/// instead of materializing an intermediate circuit — the incremental
-/// compiler's per-layer stitch path, which previously paid a fresh
-/// circuit allocation plus an `append` copy per formed CPHASE layer.
-///
-/// The emitted instruction stream is exactly what [`try_route`] would
-/// have produced (and what `out.append` of that result would have
-/// stitched); per-layer [`RouteLayerStat`]s are skipped, which is what
-/// makes the call allocation-free in steady state. `out` must have
-/// `topology.num_qubits()` qubits; the caller's parameter table is left
-/// untouched (routing never introduces parameters).
-///
-/// # Errors
-///
-/// Same conditions as [`try_route`]. On error, instructions already
-/// emitted for earlier layers of the fragment remain in `out` — callers
-/// that continue after an error must truncate to their own checkpoint
-/// (the compile pipeline treats every [`RouteError`] as fatal for the
-/// attempt, so it never observes the partial fragment).
-pub fn route_append(
-    circuit: &Circuit,
-    topology: &Topology,
-    initial_layout: Layout,
-    metric: &RoutingMetric,
-    out: &mut Circuit,
-) -> Result<AppendStats, RouteError> {
-    debug_assert_eq!(out.num_qubits(), topology.num_qubits());
-    let (final_layout, swap_count, routed_depth) =
-        route_core(circuit, topology, initial_layout, metric, out, None)?;
-    Ok(AppendStats {
-        final_layout,
-        swap_count,
-        routed_depth,
-    })
-}
-
-/// The shared routing engine behind [`try_route`] and [`route_append`]:
-/// validates, partitions into ASAP layers, routes layer by layer into
-/// `out` and flushes telemetry in one batch. Per-layer gate lists are
-/// recorded only when `stats` is supplied.
-fn route_core(
-    circuit: &Circuit,
-    topology: &Topology,
-    initial_layout: Layout,
-    metric: &RoutingMetric,
-    out: &mut Circuit,
-    mut stats: Option<&mut Vec<RouteLayerStat>>,
-) -> Result<(Layout, usize, usize), RouteError> {
     if circuit.num_qubits() > topology.num_qubits() {
         return Err(RouteError::CircuitTooLarge {
             needed: circuit.num_qubits(),
@@ -228,26 +148,24 @@ fn route_core(
             needed: circuit.num_qubits(),
         });
     }
-    if initial_layout.num_physical() != topology.num_qubits() {
-        return Err(RouteError::LayoutMismatch {
-            layout_physical: initial_layout.num_physical(),
-            topology_physical: topology.num_qubits(),
-        });
-    }
+    check_layout(&initial_layout, topology)?;
 
-    let start = out.len();
-    // Every input gate is emitted exactly once; SWAPs come on top, so the
-    // reserve is a floor, not an exact fit.
+    let mut out = Circuit::new(topology.num_qubits());
+    // Routing only permutes qubits; symbolic angles (and the table that
+    // names them) pass through untouched. Every input gate is emitted
+    // exactly once; SWAPs come on top, so the reserve is a floor, not an
+    // exact fit.
+    out.set_param_table(circuit.param_table().clone());
     out.reserve(circuit.len());
     let mut layout = initial_layout;
     let mut swap_count = 0usize;
+    let mut layer_stats: Vec<RouteLayerStat> = Vec::new();
 
     let q = qtrace::global();
     // Nothing reads this span's elapsed time when the recorder is off, so
-    // skip even its two clock reads — route_core runs once per formed
-    // CPHASE layer, and disabled-path cost is compile throughput.
+    // skip even its two clock reads.
     let span = q.is_enabled().then(|| q.span("qroute/route"));
-    let routed_depth = SCRATCH.with(|cell| -> Result<usize, RouteError> {
+    SCRATCH.with(|cell| -> Result<(), RouteError> {
         let mut scratch = cell.borrow_mut();
         let RouteScratch {
             layers,
@@ -265,12 +183,12 @@ fn route_core(
             two_qubit.clear();
             for instr in layer {
                 if instr.gate().arity() == 1 {
-                    emit(out, instr.remap(|l| layout.phys(l)));
+                    emit(&mut out, instr.remap(|l| layout.phys(l)));
                 } else {
                     two_qubit.push(*instr);
                 }
             }
-            let swaps = route_layer(two_qubit, topology, metric, &mut layout, out, bufs)?;
+            let swaps = route_layer(two_qubit, topology, metric, &mut layout, &mut out, bufs)?;
             if !two_qubit.is_empty() {
                 // One timeline marker per routed layer lets a trace show
                 // where inside a route call the SWAP cost accrued. Only the
@@ -280,33 +198,119 @@ fn route_core(
                     layer_marks.push(qtrace::event::now_ns());
                 }
                 layer_swaps.push(swaps as u64);
-                if let Some(stats) = stats.as_deref_mut() {
-                    stats.push(RouteLayerStat {
-                        gates: two_qubit.iter().map(|i| (i.q0(), i.q1())).collect(),
-                        swaps,
-                    });
-                }
+                layer_stats.push(RouteLayerStat {
+                    gates: two_qubit.iter().map(|i| (i.q0(), i.q1())).collect(),
+                    swaps,
+                });
             }
             swap_count += swaps;
         }
-        let routed_depth = out.depth_from_with(start, depth_frontier);
-        if q.is_enabled() {
-            // Per-layer numbers flush in one batch — taking the recorder
-            // lock inside the layer loop shows up in the tracing-overhead
-            // budget.
-            q.add("qroute/layers", layer_swaps.len() as u64);
-            q.observe_many("qroute/layer_swaps", layer_swaps);
-            q.add("qroute/swaps", swap_count as u64);
-            q.gauge_max("qroute/routed_depth", routed_depth as u64);
-            q.instants_at("qroute/layer", layer_marks);
-        }
-        Ok(routed_depth)
+        let routed_depth = out.depth_from_with(0, depth_frontier);
+        record_route(layer_swaps, swap_count, routed_depth, layer_marks);
+        Ok(())
     })?;
     if let Some(span) = span {
         span.finish();
     }
+    Ok(RouteResult {
+        circuit: out,
+        final_layout: layout,
+        swap_count,
+        layer_stats,
+    })
+}
 
-    Ok((layout, swap_count, routed_depth))
+/// Routes one layer of two-qubit gates on pairwise-disjoint logical
+/// qubits — an incrementally formed CPHASE layer — straight into `out`,
+/// advancing `layout` past its SWAPs. Returns the SWAP count and the depth
+/// of the emitted fragment taken as a circuit of its own.
+///
+/// The instructions, the `qroute/route` span and the `qroute/*` counters
+/// are what [`try_route`] gives for a circuit of just these gates (one
+/// ASAP layer), without building that circuit. `out` must have
+/// `topology.num_qubits()` qubits; its parameter table is left untouched.
+///
+/// # Errors
+///
+/// [`RouteError::LayoutMismatch`] or [`RouteError::LayoutTooSmall`] when
+/// `layout` does not fit `topology` or the gates, and
+/// [`RouteError::Disconnected`] when a pair is unreachable; after that
+/// one, `out` and `layout` keep the SWAPs emitted before it (the compile
+/// pipeline treats every [`RouteError`] as fatal for the attempt).
+///
+/// # Panics
+///
+/// Panics if a gate is not a two-qubit gate, or if two gates share a
+/// qubit and the layer needs SWAPs.
+pub fn try_route_layer(
+    gates: &[Instruction],
+    topology: &Topology,
+    layout: &mut Layout,
+    metric: &RoutingMetric,
+    out: &mut Circuit,
+) -> Result<(usize, usize), RouteError> {
+    check_layout(layout, topology)?;
+    let needed = gates.iter().map(|g| g.q0().max(g.q1()) + 1).max();
+    if let Some(needed) = needed.filter(|&needed| needed > layout.num_logical()) {
+        return Err(RouteError::LayoutTooSmall {
+            covers: layout.num_logical(),
+            needed,
+        });
+    }
+    debug_assert_eq!(out.num_qubits(), topology.num_qubits());
+    let start = out.len();
+    out.reserve(gates.len());
+    let q = qtrace::global();
+    let span = q.is_enabled().then(|| q.span("qroute/route"));
+    let routed = SCRATCH.with(|cell| -> Result<(usize, usize), RouteError> {
+        let mut scratch = cell.borrow_mut();
+        let RouteScratch {
+            bufs,
+            depth_frontier,
+            ..
+        } = &mut *scratch;
+        let swaps = route_layer(gates, topology, metric, layout, out, bufs)?;
+        let mark = (!gates.is_empty() && q.events_enabled()).then(qtrace::event::now_ns);
+        let routed_depth = out.depth_from_with(start, depth_frontier);
+        // As in `try_route`, an empty layer records no routed layer.
+        let layer_swaps = [swaps as u64];
+        record_route(
+            &layer_swaps[..usize::from(!gates.is_empty())],
+            swaps,
+            routed_depth,
+            mark.as_slice(),
+        );
+        Ok((swaps, routed_depth))
+    })?;
+    if let Some(span) = span {
+        span.finish();
+    }
+    Ok(routed)
+}
+
+/// Checks that `layout` places its qubits on `topology`'s physical qubits.
+fn check_layout(layout: &Layout, topology: &Topology) -> Result<(), RouteError> {
+    if layout.num_physical() != topology.num_qubits() {
+        return Err(RouteError::LayoutMismatch {
+            layout_physical: layout.num_physical(),
+            topology_physical: topology.num_qubits(),
+        });
+    }
+    Ok(())
+}
+
+/// Flushes one routing call's telemetry: the per-layer SWAP counts and
+/// timeline marks go in one batch, because taking the recorder lock inside
+/// a layer loop shows up in the tracing-overhead budget.
+fn record_route(layer_swaps: &[u64], swaps: usize, routed_depth: usize, layer_marks: &[u64]) {
+    let q = qtrace::global();
+    if q.is_enabled() {
+        q.add("qroute/layers", layer_swaps.len() as u64);
+        q.observe_many("qroute/layer_swaps", layer_swaps);
+        q.add("qroute/swaps", swaps as u64);
+        q.gauge_max("qroute/routed_depth", routed_depth as u64);
+        q.instants_at("qroute/layer", layer_marks);
+    }
 }
 
 /// Routes one layer of two-qubit gates (disjoint qubits), emitting both
@@ -356,41 +360,21 @@ fn route_layer(
     // without touching the rest of the descent state.
     bufs.pairs.clear();
     bufs.unsat.clear();
-    for i in layer.iter() {
+    // A SWAP can unsatisfy a gate as well as satisfy one; with room for
+    // every gate, the list never reallocates mid-descent.
+    bufs.unsat.reserve(layer.len());
+    for (gi, i) in layer.iter().enumerate() {
         let (pa, pb) = (layout.phys(i.q0()), layout.phys(i.q1()));
         bufs.pairs.push((pa, pb));
         if !topology.are_coupled(pa, pb) {
-            bufs.unsat.push((pa, pb));
+            bufs.unsat.push(gi);
         }
     }
     if bufs.unsat.is_empty() {
-        for (gate, &(pa, pb)) in layer.iter().zip(bufs.pairs.iter()) {
-            emit(out, Instruction::two(gate.gate(), pa, pb));
-        }
+        emit_block(layer, &bufs.pairs, out);
         return Ok(0);
     }
-    // Per-gate descent state, maintained incrementally: a swap moves
-    // exactly two physical qubits, so only the (at most two) gates with
-    // an operand on them change — the disjointness invariant means at
-    // most one gate per endpoint. `pairs`/`cur_dist` (per gate) and
-    // `partner`/`hops_at` (per physical qubit) hold each gate's current
-    // operand homes and their table distances (the same table reads a
-    // full per-step rebuild would perform, so the values — including the
-    // VIC floats — are bit-identical to recomputing).
-    bufs.gate_at.clear();
-    bufs.gate_at.resize(n, usize::MAX);
-    bufs.partner.clear();
-    bufs.partner.extend(0..n);
-    bufs.hops_at.clear();
-    bufs.hops_at.resize(n, 1);
-    bufs.cur_dist.clear();
-    for gi in 0..bufs.pairs.len() {
-        let (pa, pb) = bufs.pairs[gi];
-        bufs.gate_at[pa] = gi;
-        bufs.gate_at[pb] = gi;
-        seat_gate(bufs, hops_flat, n, pa, pb);
-        bufs.cur_dist.push(dist_flat[pa * n + pb]);
-    }
+    seat_layer(bufs, hops_flat, dist_flat, n);
     // The descent potential is measured in hops: each improving swap
     // decreases the summed hop distance by at least 1, so the descent
     // terminates within the initial total hop distance. Weighted distances
@@ -403,20 +387,16 @@ fn route_layer(
         } else {
             best_weighted_swap(bufs, topology, hops_flat, dist_flat, n)
         };
-        match best {
-            Some((delta_hops, e, w)) if delta_hops < 0 => {
-                emit(out, Instruction::two(qcircuit::Gate::Swap, e, w));
-                layout.swap_physical(e, w);
-                apply_swap_to_gates(bufs, hops_flat, dist_flat, n, e, w);
-                swap_count += 1;
-            }
+        let (e, w) = match best {
+            Some((delta_hops, e, w)) if delta_hops < 0 => (e, w),
             _ if stalls_left > 0 => {
                 stalls_left -= 1;
                 // Plateau: walk the farthest unsatisfied gate one step
                 // closer along its cheapest path.
-                let (pa, pb) = *bufs
+                let (pa, pb) = bufs
                     .unsat
                     .iter()
+                    .map(|&gi| bufs.pairs[gi])
                     .max_by(|x, y| dist_flat[x.0 * n + x.1].total_cmp(&dist_flat[y.0 * n + y.1]))
                     .expect("unsat is non-empty");
                 if !metric.shortest_paths().path_into(pa, pb, &mut bufs.path) {
@@ -426,29 +406,27 @@ fn route_layer(
                         topology: topology.name().to_owned(),
                     });
                 }
-                let (e, w) = (bufs.path[0], bufs.path[1]);
-                emit(out, Instruction::two(qcircuit::Gate::Swap, e, w));
-                layout.swap_physical(e, w);
-                apply_swap_to_gates(bufs, hops_flat, dist_flat, n, e, w);
-                swap_count += 1;
+                (bufs.path[0], bufs.path[1])
             }
             _ => break, // plateau budget exhausted: go serial
-        }
-        // Reflect the swap in the unsatisfied list; `pairs` is in layer
-        // order, so this reproduces the gate order a scan over `layer` +
-        // `layout` would yield.
-        bufs.unsat.clear();
-        bufs.unsat.extend(
-            bufs.pairs
+        };
+        emit(out, Instruction::two(qcircuit::Gate::Swap, e, w));
+        layout.swap_physical(e, w);
+        apply_swap_to_gates(bufs, topology, hops_flat, dist_flat, n, e, w);
+        swap_count += 1;
+        // Iterators, not a collected list: debug and release builds
+        // allocate alike.
+        debug_assert!(
+            bufs.unsat.iter().copied().eq(layer
                 .iter()
-                .copied()
-                .filter(|&(pa, pb)| !topology.are_coupled(pa, pb)),
+                .enumerate()
+                .filter(|(_, i)| !topology.are_coupled(layout.phys(i.q0()), layout.phys(i.q1())))
+                .map(|(gi, _)| gi)),
+            "incremental unsatisfied list diverged from the layer"
         );
         if bufs.unsat.is_empty() {
             // Simultaneously adjacent: emit the parallel block.
-            for (gate, &(pa, pb)) in layer.iter().zip(bufs.pairs.iter()) {
-                emit(out, Instruction::two(gate.gate(), pa, pb));
-            }
+            emit_block(layer, &bufs.pairs, out);
             return Ok(swap_count);
         }
     }
@@ -484,6 +462,14 @@ fn route_layer(
     Ok(swap_count)
 }
 
+/// Emits every gate of `layer` on its current physical pair, in layer
+/// order: the layer's parallel block.
+fn emit_block(layer: &[Instruction], pairs: &[(usize, usize)], out: &mut Circuit) {
+    for (gate, &(pa, pb)) in layer.iter().zip(pairs) {
+        emit(out, Instruction::two(gate.gate(), pa, pb));
+    }
+}
+
 /// Width of one qubit field in a packed candidate key. A hop table over
 /// 2^24 qubits would hold 2^48 cells, so every routable device fits.
 const KEY_QUBIT_BITS: u32 = 24;
@@ -502,6 +488,27 @@ fn candidate_key(delta_hops: i64, endpoint: usize, w: usize) -> u64 {
         | w as u64
 }
 
+/// The hop delta of swapping an unsatisfied gate's `endpoint` with its
+/// neighbor `w`, from two table reads. The endpoint's partner is never
+/// `w` (an unsatisfied pair is not coupled), so the SWAP moves the
+/// endpoint's gate onto `(w, partner)` and `w`'s gate, if any, onto
+/// `(endpoint, partner[w])`. An empty `w` reads as its own partner at
+/// distance 1, so its term is `hop(endpoint, w) - 1 = 0` without a
+/// branch.
+fn unit_delta(
+    bufs: &LayerRouteBufs,
+    hops_flat: &[usize],
+    n: usize,
+    endpoint: usize,
+    w: usize,
+) -> i64 {
+    let partner = bufs.partner[endpoint];
+    debug_assert_ne!(w, partner);
+    hops_flat[w * n + partner] as i64 - bufs.hops_at[endpoint]
+        + hops_flat[endpoint * n + bufs.partner[w]] as i64
+        - bufs.hops_at[w]
+}
+
 /// The unit metric's best candidate SWAP as `(delta_hops, endpoint, w)`:
 /// the lexicographic minimum over every SWAP of an unsatisfied gate's
 /// endpoint with one of its neighbors, taken as one minimum over packed
@@ -511,11 +518,7 @@ fn candidate_key(delta_hops: i64, endpoint: usize, w: usize) -> u64 {
 /// delta is an exact small integer, so the reference comparison
 /// (`dw' < dw - 1e-12`, `|dw' - dw| <= 1e-12`) is *exactly* the integer
 /// comparison on `delta_hops`, and its sequential strictly-better scan
-/// keeps the lexicographic minimum. The endpoint's partner is never `w`
-/// (an unsatisfied pair is not coupled), so the SWAP moves the
-/// endpoint's gate onto `(w, partner)` and `w`'s gate, if any, onto
-/// `(endpoint, partner[w])`: one read of `w`'s row and one of the
-/// endpoint's.
+/// keeps the lexicographic minimum.
 fn best_unit_swap(
     bufs: &LayerRouteBufs,
     topology: &Topology,
@@ -523,15 +526,11 @@ fn best_unit_swap(
     n: usize,
 ) -> Option<(i64, usize, usize)> {
     let mut best = u64::MAX;
-    for &(pa, pb) in &bufs.unsat {
+    for &gi in &bufs.unsat {
+        let (pa, pb) = bufs.pairs[gi];
         for endpoint in [pa, pb] {
-            let (partner, before) = (bufs.partner[endpoint], bufs.hops_at[endpoint]);
-            let row = &hops_flat[endpoint * n..(endpoint + 1) * n];
             for &w in topology.neighbors(endpoint) {
-                debug_assert_ne!(w, partner);
-                let delta_hops = hops_flat[w * n + partner] as i64 - before
-                    + row[bufs.partner[w]] as i64
-                    - bufs.hops_at[w];
+                let delta_hops = unit_delta(bufs, hops_flat, n, endpoint, w);
                 best = best.min(candidate_key(delta_hops, endpoint, w));
             }
         }
@@ -552,6 +551,11 @@ fn best_unit_swap(
 /// candidate by candidate in the reference's order, because the
 /// tolerance makes the rule order-dependent. `None` when no endpoint has
 /// a neighbor.
+///
+/// Hop deltas decide first, so a candidate whose hop delta exceeds the
+/// running best's can never win: it is priced with [`unit_delta`] and
+/// skipped before its weighted sum. The hop table is symmetric, so that
+/// delta is the sum the weighted form's cells would give.
 fn best_weighted_swap(
     bufs: &LayerRouteBufs,
     topology: &Topology,
@@ -560,55 +564,15 @@ fn best_weighted_swap(
     n: usize,
 ) -> Option<(i64, usize, usize)> {
     let mut best: Option<(i64, f64, usize, usize)> = None;
-    for &(pa, pb) in &bufs.unsat {
+    for &gi in &bufs.unsat {
+        let (pa, pb) = bufs.pairs[gi];
         for endpoint in [pa, pb] {
             for &w in topology.neighbors(endpoint) {
-                let mut delta_hops: i64 = 0;
-                let mut delta_weighted = 0.0;
-                // Accumulation order matches the old gates-on chain
-                // (endpoint's gate, then w's distinct gate), and each
-                // branch indexes the exact matrix cell the reference's
-                // operand-relocation form reads, so the float sums —
-                // and therefore VIC tie-breaks — are bit-identical.
-                // The "before" distances are the maintained per-gate
-                // values: the same table reads the reference performs,
-                // just not repeated per candidate.
-                let g0 = bufs.gate_at[endpoint];
-                let g1 = bufs.gate_at[w];
-                if g0 != usize::MAX {
-                    let (a0, b0) = bufs.pairs[g0];
-                    // A gate on (endpoint, w) itself keeps its distance
-                    // under the swap (the matrix is symmetric), adding
-                    // exactly zero — skip it.
-                    let cell = if a0 == endpoint {
-                        if b0 == w {
-                            usize::MAX
-                        } else {
-                            w * n + b0
-                        }
-                    } else if a0 == w {
-                        usize::MAX
-                    } else {
-                        a0 * n + w
-                    };
-                    if cell != usize::MAX {
-                        delta_hops += hops_flat[cell] as i64 - bufs.hops_at[endpoint];
-                        delta_weighted += dist_flat[cell] - bufs.cur_dist[g0];
-                    }
+                let delta_hops = unit_delta(bufs, hops_flat, n, endpoint, w);
+                if best.is_some_and(|(dh, ..)| delta_hops > dh) {
+                    continue;
                 }
-                if g1 != usize::MAX && g1 != g0 {
-                    // `w`'s gate: its other operand is neither endpoint
-                    // nor `w` (distinct disjoint gates), so only the
-                    // `w` operand relocates.
-                    let (a1, b1) = bufs.pairs[g1];
-                    let cell = if a1 == w {
-                        endpoint * n + b1
-                    } else {
-                        a1 * n + endpoint
-                    };
-                    delta_hops += hops_flat[cell] as i64 - bufs.hops_at[w];
-                    delta_weighted += dist_flat[cell] - bufs.cur_dist[g1];
-                }
+                let delta_weighted = weighted_delta(bufs, dist_flat, n, gi, endpoint, w);
                 let better = match best {
                     Some((dh, dw, be, bw)) => {
                         delta_hops < dh
@@ -628,6 +592,79 @@ fn best_weighted_swap(
     best.map(|(delta_hops, _, e, w)| (delta_hops, e, w))
 }
 
+/// The weighted-distance delta of swapping `endpoint`, an operand of the
+/// unsatisfied gate `g0`, with its neighbor `w`. The accumulation order
+/// (the endpoint's gate, then `w`'s) and the matrix cell each term reads
+/// are the reference's operand-relocation form, so the float sums — and
+/// therefore VIC's tie-breaks — are bit-identical to it. The "before"
+/// distances are the maintained per-gate values: the same table reads
+/// the reference repeats per candidate.
+fn weighted_delta(
+    bufs: &LayerRouteBufs,
+    dist_flat: &[f64],
+    n: usize,
+    g0: usize,
+    endpoint: usize,
+    w: usize,
+) -> f64 {
+    // `w` is not the endpoint's partner (the gate is unsatisfied), so
+    // only the endpoint operand relocates.
+    let (a0, b0) = bufs.pairs[g0];
+    let cell = if a0 == endpoint {
+        w * n + b0
+    } else {
+        a0 * n + w
+    };
+    let mut delta = dist_flat[cell] - bufs.cur_dist[g0];
+    let g1 = bufs.gate_at[w];
+    if g1 != usize::MAX {
+        // `w`'s gate: its other operand is neither endpoint nor `w`
+        // (distinct disjoint gates), so only the `w` operand relocates.
+        let (a1, b1) = bufs.pairs[g1];
+        let cell = if a1 == w {
+            endpoint * n + b1
+        } else {
+            a1 * n + endpoint
+        };
+        delta += dist_flat[cell] - bufs.cur_dist[g1];
+    }
+    delta
+}
+
+/// Seats every gate of `bufs.pairs` in the per-qubit descent state, which
+/// is maintained incrementally from here on: a swap moves exactly two
+/// physical qubits, so only the (at most two) gates with an operand on
+/// them change — the disjointness invariant means at most one gate per
+/// endpoint. `pairs`/`cur_dist` (per gate) and `gate_at`/`partner`/
+/// `hops_at` (per physical qubit) hold each gate's current operand homes
+/// and their table distances (the same table reads a full per-step
+/// rebuild would perform, so the values — including the VIC floats — are
+/// bit-identical to recomputing).
+///
+/// # Panics
+///
+/// Panics if two gates share a physical qubit.
+fn seat_layer(bufs: &mut LayerRouteBufs, hops_flat: &[usize], dist_flat: &[f64], n: usize) {
+    bufs.gate_at.clear();
+    bufs.gate_at.resize(n, usize::MAX);
+    bufs.partner.clear();
+    bufs.partner.extend(0..n);
+    bufs.hops_at.clear();
+    bufs.hops_at.resize(n, 1);
+    bufs.cur_dist.clear();
+    for gi in 0..bufs.pairs.len() {
+        let (pa, pb) = bufs.pairs[gi];
+        assert!(
+            bufs.gate_at[pa] == usize::MAX && bufs.gate_at[pb] == usize::MAX,
+            "layer gates must act on disjoint qubits"
+        );
+        bufs.gate_at[pa] = gi;
+        bufs.gate_at[pb] = gi;
+        seat_gate(bufs, hops_flat, n, pa, pb);
+        bufs.cur_dist.push(dist_flat[pa * n + pb]);
+    }
+}
+
 /// Records the gate on physical qubits `(a, b)` in the per-qubit
 /// descent state: each endpoint's partner and the gate's hop distance.
 fn seat_gate(bufs: &mut LayerRouteBufs, hops_flat: &[usize], n: usize, a: usize, b: usize) {
@@ -641,11 +678,13 @@ fn seat_gate(bufs: &mut LayerRouteBufs, hops_flat: &[usize], n: usize, a: usize,
 /// Applies the physical swap `(e, w)` to [`route_layer`]'s descent
 /// state: rewrites the operand pairs of the (at most two) gates touching
 /// `e` or `w`, refreshes their cached distances with the same table reads
-/// a full per-step rebuild would perform, and swaps the occupancy
-/// entries. Every other gate's state is untouched — a swap moves exactly
-/// two physical qubits.
+/// a full per-step rebuild would perform, swaps the occupancy entries and
+/// moves each of those gates into or out of the unsatisfied list. Every
+/// other gate's state is untouched — a swap moves exactly two physical
+/// qubits.
 fn apply_swap_to_gates(
     bufs: &mut LayerRouteBufs,
+    topology: &Topology,
     hops_flat: &[usize],
     dist_flat: &[f64],
     n: usize,
@@ -675,6 +714,14 @@ fn apply_swap_to_gates(
         bufs.pairs[gi] = (a1, b1);
         bufs.cur_dist[gi] = dist_flat[a1 * n + b1];
         seat_gate(bufs, hops_flat, n, a1, b1);
+        // Ascending order keeps every scan in layer order.
+        match (bufs.unsat.binary_search(&gi), topology.are_coupled(a1, b1)) {
+            (Ok(at), true) => {
+                bufs.unsat.remove(at);
+            }
+            (Err(at), false) => bufs.unsat.insert(at, gi),
+            _ => {}
+        }
     };
     if g0 != usize::MAX {
         update(g0);
@@ -710,7 +757,8 @@ mod tests {
     use qcircuit::Gate;
     use qhw::Calibration;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn adjacent_gates_need_no_swaps() {
@@ -862,32 +910,189 @@ mod tests {
         assert_eq!(r2.swap_count, 0);
     }
 
+    /// A random matching of `k` of `qubits`' pairs, in shuffled order.
+    fn random_pairs(qubits: usize, k: usize, rng: &mut StdRng) -> Vec<(usize, usize)> {
+        let mut order: Vec<usize> = (0..qubits).collect();
+        order.shuffle(rng);
+        order
+            .chunks_exact(2)
+            .take(k)
+            .map(|p| (p[0], p[1]))
+            .collect()
+    }
+
     #[test]
-    fn route_append_matches_try_route_stitching() {
-        // The direct-emission path must produce the byte stream that
-        // try_route + append would have: same instructions, same layout,
+    fn layer_entry_point_matches_try_route_stitching() {
+        // Routing IC's packed layers one at a time into one output must
+        // produce the byte stream that try_route + append of each
+        // one-layer circuit would have: same instructions, same layout,
         // same counts, same fragment depth.
         let topo = Topology::ibmq_20_tokyo();
         let metric = RoutingMetric::hops(&topo);
         let mut rng = StdRng::seed_from_u64(11);
         let mut layout = Layout::random(12, 20, &mut rng);
+        let mut direct_layout = layout.clone();
         let mut stitched = Circuit::new(20);
         let mut direct = Circuit::new(20);
-        for round in 0..4 {
-            let g = qgraph::generators::connected_erdos_renyi(12, 0.4, 100, &mut rng).unwrap();
+        for round in 0..8 {
             let mut frag = Circuit::new(12);
-            for e in g.edges() {
-                frag.rzz(0.1 + round as f64, e.a(), e.b());
+            for (a, b) in random_pairs(12, 1 + round % 6, &mut rng) {
+                frag.rzz(0.1 + round as f64, a, b);
             }
             let r = try_route(&frag, &topo, layout.clone(), &metric).unwrap();
             stitched.append(&r.circuit).unwrap();
-            let a = route_append(&frag, &topo, layout.clone(), &metric, &mut direct).unwrap();
-            assert_eq!(a.final_layout, r.final_layout);
-            assert_eq!(a.swap_count, r.swap_count);
-            assert_eq!(a.routed_depth, r.circuit.depth());
-            layout = a.final_layout;
+            let (swaps, depth) = try_route_layer(
+                frag.instructions(),
+                &topo,
+                &mut direct_layout,
+                &metric,
+                &mut direct,
+            )
+            .unwrap();
+            assert_eq!(direct_layout, r.final_layout);
+            assert_eq!(swaps, r.swap_count);
+            assert_eq!(depth, r.circuit.depth());
+            layout = r.final_layout;
         }
         assert_eq!(stitched.instructions(), direct.instructions());
+    }
+
+    #[test]
+    fn layer_entry_point_rejects_mismatched_inputs() {
+        let topo = Topology::linear(4);
+        let metric = RoutingMetric::hops(&topo);
+        let gates = [Instruction::two(Gate::Rzz(0.3.into()), 0, 3)];
+        let mut out = Circuit::new(4);
+        let mut small = Layout::trivial(2, 4);
+        assert!(matches!(
+            try_route_layer(&gates, &topo, &mut small, &metric, &mut out),
+            Err(RouteError::LayoutTooSmall {
+                covers: 2,
+                needed: 4
+            })
+        ));
+        let mut wide = Layout::trivial(4, 5);
+        assert!(matches!(
+            try_route_layer(&gates, &topo, &mut wide, &metric, &mut out),
+            Err(RouteError::LayoutMismatch { .. })
+        ));
+        assert!(out.is_empty());
+    }
+
+    /// The variation-aware candidate scan without the hop-delta prune:
+    /// every candidate's weighted sum, decided by the sequential rule.
+    fn unpruned_weighted_swap(
+        bufs: &LayerRouteBufs,
+        topology: &Topology,
+        hops_flat: &[usize],
+        dist_flat: &[f64],
+        n: usize,
+    ) -> Option<(i64, usize, usize)> {
+        let mut best: Option<(i64, f64, usize, usize)> = None;
+        for &gi in &bufs.unsat {
+            let (pa, pb) = bufs.pairs[gi];
+            for endpoint in [pa, pb] {
+                for &w in topology.neighbors(endpoint) {
+                    let mut delta_hops: i64 = 0;
+                    let mut delta_weighted = 0.0;
+                    let g0 = bufs.gate_at[endpoint];
+                    let g1 = bufs.gate_at[w];
+                    if g0 != usize::MAX {
+                        let (a0, b0) = bufs.pairs[g0];
+                        let cell = if a0 == endpoint {
+                            if b0 == w {
+                                usize::MAX
+                            } else {
+                                w * n + b0
+                            }
+                        } else if a0 == w {
+                            usize::MAX
+                        } else {
+                            a0 * n + w
+                        };
+                        if cell != usize::MAX {
+                            delta_hops += hops_flat[cell] as i64 - bufs.hops_at[endpoint];
+                            delta_weighted += dist_flat[cell] - bufs.cur_dist[g0];
+                        }
+                    }
+                    if g1 != usize::MAX && g1 != g0 {
+                        let (a1, b1) = bufs.pairs[g1];
+                        let cell = if a1 == w {
+                            endpoint * n + b1
+                        } else {
+                            a1 * n + endpoint
+                        };
+                        delta_hops += hops_flat[cell] as i64 - bufs.hops_at[w];
+                        delta_weighted += dist_flat[cell] - bufs.cur_dist[g1];
+                    }
+                    let better = match best {
+                        Some((dh, dw, be, bw)) => {
+                            delta_hops < dh
+                                || (delta_hops == dh
+                                    && (delta_weighted < dw - 1e-12
+                                        || ((delta_weighted - dw).abs() <= 1e-12
+                                            && (endpoint, w) < (be, bw))))
+                        }
+                        None => true,
+                    };
+                    if better {
+                        best = Some((delta_hops, delta_weighted, endpoint, w));
+                    }
+                }
+            }
+        }
+        best.map(|(delta_hops, _, e, w)| (delta_hops, e, w))
+    }
+
+    #[test]
+    fn pruned_weighted_scan_matches_unpruned_scan() {
+        // Random descent states: a random layer of disjoint physical
+        // pairs, then mostly improving SWAPs with random ones mixed in,
+        // so plateaus and uphill states are visited too. A uniform
+        // calibration makes every equal-hop candidate tie on weight, so
+        // only the (endpoint, w) rule decides; a random one makes the
+        // weighted sums decide.
+        let mut rng = StdRng::seed_from_u64(0x9E7);
+        let mut bufs = LayerRouteBufs::default();
+        let mut compared = 0;
+        for topo in [Topology::ibmq_20_tokyo(), Topology::heavy_hex(6, 7)] {
+            let n = topo.num_qubits();
+            let random = Calibration::random_normal(&topo, 1e-2, 0.5e-2, &mut rng);
+            let uniform = Calibration::uniform(&topo, 0.02, 0.001, 0.02);
+            for cal in [random, uniform] {
+                let metric = RoutingMetric::reliability(&topo, &cal);
+                let (hops, dist) = (metric.hops_flat(), metric.dist_flat());
+                for _ in 0..150 {
+                    let k = rng.gen_range(1..=10);
+                    bufs.pairs = random_pairs(n, k, &mut rng);
+                    seat_layer(&mut bufs, hops, dist, n);
+                    bufs.unsat.clear();
+                    bufs.unsat.extend(
+                        (0..k).filter(|&g| !topo.are_coupled(bufs.pairs[g].0, bufs.pairs[g].1)),
+                    );
+                    for _ in 0..10 {
+                        if bufs.unsat.is_empty() {
+                            break;
+                        }
+                        let pruned = best_weighted_swap(&bufs, &topo, hops, dist, n);
+                        let unpruned = unpruned_weighted_swap(&bufs, &topo, hops, dist, n);
+                        assert_eq!(pruned, unpruned, "{} descent state diverged", topo.name());
+                        compared += 1;
+                        let (e, w) = match pruned {
+                            Some((delta, e, w)) if delta < 0 && rng.gen_bool(0.75) => (e, w),
+                            _ => {
+                                let gi = bufs.unsat[rng.gen_range(0..bufs.unsat.len())];
+                                let e = bufs.pairs[gi].0;
+                                let neighbors = topo.neighbors(e);
+                                (e, neighbors[rng.gen_range(0..neighbors.len())])
+                            }
+                        };
+                        apply_swap_to_gates(&mut bufs, &topo, hops, dist, n, e, w);
+                    }
+                }
+            }
+        }
+        assert!(compared > 1000, "only {compared} states compared");
     }
 
     #[test]
