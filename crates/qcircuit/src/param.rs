@@ -32,6 +32,7 @@
 //! ```
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::CircuitError;
 
@@ -176,9 +177,14 @@ impl fmt::Display for Angle {
 
 /// The declared parameters of a circuit: an ordered list of names, indexed
 /// by [`ParamId`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// The names sit behind one shared [`Arc`], copied on write by
+/// [`ParamTable::declare`], so every circuit compiled from one program
+/// shares its table and a clone is a reference-count bump. An empty table
+/// holds no allocation.
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct ParamTable {
-    names: Vec<String>,
+    names: Option<Arc<Vec<String>>>,
 }
 
 impl ParamTable {
@@ -189,29 +195,35 @@ impl ParamTable {
 
     /// Declares a new parameter, returning its id.
     pub fn declare(&mut self, name: impl Into<String>) -> ParamId {
-        let id = ParamId(self.names.len() as u32);
-        self.names.push(name.into());
+        let names = Arc::make_mut(self.names.get_or_insert_with(Default::default));
+        let id = ParamId(names.len() as u32);
+        names.push(name.into());
         id
+    }
+
+    /// The declared names in [`ParamId`] order.
+    fn names(&self) -> &[String] {
+        self.names.as_deref().map_or(&[], Vec::as_slice)
     }
 
     /// The number of declared parameters.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.names().len()
     }
 
     /// Whether no parameters are declared.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.names().is_empty()
     }
 
     /// The name of a parameter, if declared.
     pub fn name(&self, id: ParamId) -> Option<&str> {
-        self.names.get(id.index()).map(String::as_str)
+        self.names().get(id.index()).map(String::as_str)
     }
 
     /// Iterates over `(id, name)` pairs in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (ParamId, &str)> {
-        self.names
+        self.names()
             .iter()
             .enumerate()
             .map(|(i, n)| (ParamId(i as u32), n.as_str()))
@@ -237,6 +249,15 @@ impl ParamTable {
             expected: self.len(),
             found: other.len(),
         })
+    }
+}
+
+impl fmt::Debug for ParamTable {
+    /// Renders the names as a plain list, however they are shared.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ParamTable")
+            .field("names", &self.names())
+            .finish()
     }
 }
 
@@ -347,6 +368,33 @@ mod tests {
             format!("{:.2}", Angle::sym(ParamId(1)).scaled(-2.0)),
             "-2.00*p1"
         );
+    }
+
+    #[test]
+    fn tables_share_names_until_written() {
+        let empty = ParamTable::new();
+        assert!(empty.names.is_none(), "an empty table must not allocate");
+        assert_eq!(format!("{empty:?}"), "ParamTable { names: [] }");
+
+        let mut a = ParamTable::new();
+        a.declare("gamma");
+        a.declare("beta");
+        let shared = a.clone();
+        assert!(Arc::ptr_eq(
+            a.names.as_ref().unwrap(),
+            shared.names.as_ref().unwrap()
+        ));
+        assert_eq!(
+            format!("{shared:?}"),
+            r#"ParamTable { names: ["gamma", "beta"] }"#
+        );
+
+        // Declaring on a clone copies the names first.
+        let mut grown = shared.clone();
+        assert_eq!(grown.declare("delta"), ParamId(2));
+        assert_eq!((a.len(), shared.len(), grown.len()), (2, 2, 3));
+        assert_eq!(a, shared);
+        assert_ne!(a, grown);
     }
 
     #[test]

@@ -124,14 +124,14 @@ fn steady_state_compiles_allocate_a_pinned_count() {
     // measured when it was pinned, so a change that allocates more fails
     // here and one that allocates less should lower it.
     let tokyo_cases = [
-        ("QAIM", CompileOptions::qaim_only(), 70),
-        ("IP", CompileOptions::ip(), 87),
-        ("IC", CompileOptions::ic(), 51),
-        ("VIC", CompileOptions::vic(), 51),
+        ("QAIM", CompileOptions::qaim_only(), 61),
+        ("IP", CompileOptions::ip(), 78),
+        ("IC", CompileOptions::ic(), 45),
+        ("VIC", CompileOptions::vic(), 45),
     ];
     let hh_cases = [
-        ("IC", CompileOptions::ic(), 52),
-        ("VIC", CompileOptions::vic(), 52),
+        ("IC", CompileOptions::ic(), 46),
+        ("VIC", CompileOptions::vic(), 46),
     ];
     for (device, spec, context, cases) in [
         ("tokyo", &tokyo_spec, &tokyo, &tokyo_cases[..]),

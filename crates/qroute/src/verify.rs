@@ -21,11 +21,14 @@ pub fn satisfies_coupling(circuit: &Circuit, topology: &Topology) -> bool {
 ///
 /// Simulates both circuits (measurements ignored) and compares the logical
 /// state against the physical state with the *final* layout's inverse
-/// permutation applied. Cost is two dense `2^n`-amplitude simulations
-/// (16 MiB each at 20 qubits); `qsim` absorbs the routing SWAPs as
-/// relabels, so each routed level is one diagonal pass. The compile
-/// pipeline calls it up to `qcompile::pipeline::FULL_VERIFY_MAX_QUBITS`
-/// (16) qubits, and the benchmark on the 20-qubit `ibmq_20_tokyo`.
+/// permutation applied. Cost: `qsim` absorbs the routing SWAPs as relabels
+/// (each routed level is one diagonal pass) and simulates only the storage
+/// bits that hold data, so every pass of either simulation sweeps the
+/// `2^n` amplitudes of the `n` logical qubits. Each result is still a
+/// dense `2^N`-amplitude state over the `N` physical qubits (16 MiB at
+/// 20), which the fidelity reads. The compile pipeline calls it up to
+/// `qcompile::pipeline::FULL_VERIFY_MAX_QUBITS` (16) qubits, and the
+/// benchmark on the 20-qubit `ibmq_20_tokyo`.
 ///
 /// # Panics
 ///

@@ -22,8 +22,10 @@
 //!
 //! A whole circuit's `SWAP`s never reach this table:
 //! [`crate::StateVector::apply_circuit_with`] absorbs them as qubit
-//! relabels and remaps the other gates' operands. Only single-gate
-//! application and the streaming trajectory simulator dispatch them.
+//! relabels and remaps the other gates' operands (a run from `|0...0⟩`
+//! remaps them onto the compact bits of the qubits that hold data). Only
+//! single-gate application and the streaming trajectory simulator
+//! dispatch them.
 //!
 //! # Threading
 //!
@@ -296,6 +298,15 @@ impl Op {
 
     /// Applies the op in place over `threads` workers.
     pub(crate) fn apply(&self, amps: &mut [Complex], threads: usize) {
+        if !matches!(self, Op::Identity) {
+            count_updates(1, amps.len());
+        }
+        self.update(amps, threads);
+    }
+
+    /// [`Op::apply`] without the work counter, for callers that count a
+    /// whole fused run at once.
+    fn update(&self, amps: &mut [Complex], threads: usize) {
         match *self {
             Op::Identity => {}
             Op::Phase1 { bit, z0, z1 } => phase1(amps, bit, z0, z1, threads),
@@ -328,6 +339,16 @@ impl Op {
             }),
             Op::Dense2 { ba, bb, m } => dense2(amps, ba, bb, &m, threads),
         }
+    }
+}
+
+/// Adds the work of `gates` update rules applied across a `len`-amplitude
+/// buffer to the `qsim/amplitude_updates` counter. It counts per kernel
+/// application, outside any thread split, so it reads the same for every
+/// thread count.
+fn count_updates(gates: usize, len: usize) {
+    if qtrace::enabled() {
+        qtrace::global().add("qsim/amplitude_updates", (gates * len) as u64);
     }
 }
 
@@ -513,11 +534,12 @@ impl WallAccumulator {
             // `amps.len()` is a power of two ≥ `block`, so blocks tile the
             // buffer exactly; each low op's coupled pairs stay inside a
             // block, so per-block serial application is exact.
+            count_updates(n_low, amps.len());
             let ops = &self.ops;
             par::chunked(amps, block, threads, |_, chunk| {
                 for blk in chunk.chunks_exact_mut(block) {
                     for op in ops.iter().filter(|op| is_low(op)) {
-                        op.apply(blk, 1);
+                        op.update(blk, 1);
                     }
                 }
             });
@@ -610,6 +632,7 @@ impl DiagAccumulator {
                 (self.one_q.len() + self.two_q.len()) as u64,
             );
         }
+        count_updates(1, amps.len());
         let one_q = std::mem::take(&mut self.one_q);
         let two_q = std::mem::take(&mut self.two_q);
 

@@ -20,7 +20,9 @@ pub const MAX_QUBITS: usize = 28;
 /// index swap, the QAOA mixers use structured real rotations, and
 /// consecutive diagonal gates fuse into a single amplitude pass. A
 /// circuit's `SWAP`s move no amplitudes at all: they relabel which
-/// storage bit holds which qubit (see [`StateVector::apply_circuit_with`]).
+/// storage bit holds which qubit (see [`StateVector::apply_circuit_with`]),
+/// and a run from `|0...0⟩` sweeps only the qubits that hold data (see
+/// [`StateVector::from_circuit_with`]).
 /// All of this is tunable through [`SimOptions`] via the `*_with` entry
 /// points; the plain entry points use [`SimOptions::default`].
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +75,15 @@ impl StateVector {
     }
 
     /// [`StateVector::from_circuit`] with explicit engine options.
+    ///
+    /// Cost: the circuit runs on the qubits that hold data only. When `k`
+    /// of the register's `N` storage bits meet a gate other than `SWAP`
+    /// (a routed circuit's `n` logical qubits), every pass sweeps `2^k`
+    /// amplitudes instead of `2^N`, threads are chosen for `k` qubits,
+    /// and one final in-place pass moves the `2^k` amplitudes to their
+    /// physical indices. The returned state is the only `2^N` buffer,
+    /// zeroed once when it is allocated. [`StateVector::try_from_bound_with`]
+    /// and [`StateVector::bind_and_simulate_with`] run the same way.
     pub fn from_circuit_with(circuit: &Circuit, opts: &SimOptions) -> Self {
         let mut sv = StateVector::new(circuit.num_qubits());
         sv.run_from_zero(circuit, opts);
@@ -186,59 +197,63 @@ impl StateVector {
             circuit.num_qubits(),
             self.num_qubits
         );
-        self.run_relabeled(circuit, opts, (0..self.num_qubits).collect());
+        let identity: Vec<usize> = (0..self.num_qubits).collect();
+        run_relabeled(&mut self.amps, circuit, opts, identity.clone(), &identity);
     }
 
     /// [`StateVector::apply_circuit_with`] for a state that is still
-    /// `|0...0⟩`, as the constructors make it. That state is invariant
-    /// under any qubit permutation, so each qubit can start on the storage
-    /// bit that the circuit's `SWAP`s will carry back to the qubit's own
-    /// index: the state ends in physical order with no restoring pass.
+    /// `|0...0⟩`, as the constructors make it, run on the storage bits
+    /// that hold data only.
+    ///
+    /// That state is invariant under any qubit permutation, so each qubit
+    /// can start on the storage bit that the circuit's `SWAP`s will carry
+    /// back to the qubit's own index: the state ends in physical order
+    /// with no restoring pass. A storage bit that no other gate touches in
+    /// that run stays `|0⟩` throughout, so the `k` touched bits, relabelled
+    /// in ascending order to bits `0..k`, run on the first `2^k`
+    /// amplitudes of the buffer, and [`scatter`] then moves them to their
+    /// physical indices in place.
     fn run_from_zero(&mut self, circuit: &Circuit, opts: &SimOptions) {
         // Each SWAP τ maps slot ← slot ∘ τ, so the run takes `start` to
         // start ∘ σ for the SWAPs' product σ. Replaying them backwards on
         // the identity gives σ⁻¹, and the run then ends on the identity.
-        let mut start: Vec<usize> = (0..self.num_qubits).collect();
-        for instr in circuit.iter().rev() {
+        // Replayed backwards, the map also holds, at each other gate, the
+        // storage bits the run will apply that gate to.
+        let n = self.num_qubits;
+        let mut start: Vec<usize> = (0..n).collect();
+        let mut active = 0usize;
+        for instr in circuit.iter().rev().filter(|i| i.gate().is_unitary()) {
             if matches!(instr.gate(), Gate::Swap) {
                 start.swap(instr.q0(), instr.q1());
-            }
-        }
-        self.run_relabeled(circuit, opts, start);
-    }
-
-    /// Applies the unitary gates of `circuit` with `SWAP`s absorbed,
-    /// starting from `slot` (`slot[q]` = storage bit holding qubit `q`),
-    /// then restores physical order in place.
-    fn run_relabeled(&mut self, circuit: &Circuit, opts: &SimOptions, mut slot: Vec<usize>) {
-        let mut fused = FusedApplier::new(opts, self.num_qubits);
-        let mut swaps = 0;
-        for instr in circuit.iter().filter(|i| i.gate().is_unitary()) {
-            if matches!(instr.gate(), Gate::Swap) {
-                slot.swap(instr.q0(), instr.q1());
-                swaps += 1;
             } else {
-                fused.apply(&mut self.amps, &instr.remap(|q| slot[q]));
+                active |= 1 << start[instr.q0()];
+                if instr.gate().arity() == 2 {
+                    active |= 1 << start[instr.q1()];
+                }
             }
         }
+        // Storage bit `s` runs as bit `compact[s]`: the active bits in
+        // ascending order first, then the idle ones, which only SWAPs
+        // relabel and so never reach a kernel.
+        let k = active.count_ones() as usize;
+        let below = |set: usize, s: usize| (set & ((1 << s) - 1)).count_ones() as usize;
+        let compact: Vec<usize> = (0..n)
+            .map(|s| {
+                if active >> s & 1 == 1 {
+                    below(active, s)
+                } else {
+                    k + below(!active, s)
+                }
+            })
+            .collect();
         if qtrace::enabled() {
-            qtrace::global().add("qsim/relabeled_swaps", swaps);
+            qtrace::global().gauge_max("qsim/active_qubits", k as u64);
         }
-        for q in 0..self.num_qubits {
-            let s = slot[q];
-            if s != q {
-                // Storage bit `q` holds qubit `r`; exchanging bits `q` and
-                // `s` sends `q` home and `r` to `s`.
-                let r = slot
-                    .iter()
-                    .position(|&b| b == q)
-                    .expect("slot is a permutation");
-                fused.apply(&mut self.amps, &Instruction::two(Gate::Swap, q, s));
-                slot[r] = s;
-                slot[q] = q;
-            }
+        for s in &mut start {
+            *s = compact[*s];
         }
-        fused.flush(&mut self.amps);
+        run_relabeled(&mut self.amps[..1 << k], circuit, opts, start, &compact);
+        scatter(&mut self.amps, active);
     }
 
     /// Raw mutable amplitude access for the crate-internal streaming
@@ -355,6 +370,71 @@ impl StateVector {
             inner += a.conj() * *b;
         }
         inner.norm_sqr()
+    }
+}
+
+/// Applies the unitary gates of `circuit` to `amps` with `SWAP`s absorbed,
+/// starting from `slot` (`slot[q]` = bit of the amplitude index that holds
+/// qubit `q`), then brings each qubit `q` to bit `home[q]` in place, with
+/// one `SWAP` pass per transposition of the leftover permutation. Passes
+/// run over `effective_threads` of the buffer's own width.
+fn run_relabeled(
+    amps: &mut [Complex],
+    circuit: &Circuit,
+    opts: &SimOptions,
+    mut slot: Vec<usize>,
+    home: &[usize],
+) {
+    let mut fused = FusedApplier::new(opts, amps.len().trailing_zeros() as usize);
+    let mut swaps = 0;
+    for instr in circuit.iter().filter(|i| i.gate().is_unitary()) {
+        if matches!(instr.gate(), Gate::Swap) {
+            slot.swap(instr.q0(), instr.q1());
+            swaps += 1;
+        } else {
+            fused.apply(amps, &instr.remap(|q| slot[q]));
+        }
+    }
+    if qtrace::enabled() {
+        qtrace::global().add("qsim/relabeled_swaps", swaps);
+    }
+    for (q, &h) in home.iter().enumerate() {
+        let s = slot[q];
+        if s != h {
+            // Bit `h` holds qubit `r`; exchanging bits `h` and `s` sends
+            // `q` home and `r` to `s`.
+            let r = slot
+                .iter()
+                .position(|&b| b == h)
+                .expect("slot is a permutation");
+            fused.apply(amps, &Instruction::two(Gate::Swap, h, s));
+            slot[r] = s;
+            slot[q] = h;
+        }
+    }
+    fused.flush(amps);
+}
+
+/// Moves a state held compactly in `amps[..2^k]`, `k` = the number of set
+/// bits of `active`, to its physical indices in place: compact index `c`
+/// goes to `pdep(c, active)`, `c`'s bits deposited in order into the set
+/// bits of `active`, and every other index ends zero. That map is
+/// increasing and never below `c`, so a walk from the top reads each
+/// source before any write can land on it.
+fn scatter(amps: &mut [Complex], active: usize) {
+    if active & (active + 1) == 0 {
+        // The active bits are already the low ones: pdep is the identity.
+        return;
+    }
+    // Stepping down through the submasks of `active` visits
+    // pdep(c, active) for c = 2^k - 1, ..., 0.
+    let mut dest = active;
+    for c in (0..1usize << active.count_ones()).rev() {
+        if dest != c {
+            amps[dest] = amps[c];
+            amps[c] = ZERO;
+        }
+        dest = dest.wrapping_sub(1) & active;
     }
 }
 
@@ -662,6 +742,72 @@ mod tests {
         let sb = StateVector::new(1);
         assert_close(sa.fidelity(&sb), 0.0);
         assert_close(sa.fidelity(&sa.clone()), 1.0);
+    }
+
+    /// Applies `c`'s unitary gates one at a time, each SWAP as a pass.
+    fn gate_by_gate(c: &Circuit) -> StateVector {
+        let mut sv = StateVector::new(c.num_qubits());
+        for instr in c.iter().filter(|i| i.gate().is_unitary()) {
+            sv.apply(instr);
+        }
+        sv
+    }
+
+    #[test]
+    fn swap_only_circuit_runs_no_qubit() {
+        // k = 0: no gate holds data, so the run covers one amplitude and
+        // the state stays |0000⟩.
+        let mut c = Circuit::new(4);
+        c.swap(0, 3);
+        c.swap(1, 2);
+        c.swap(3, 1);
+        c.measure_all();
+        assert_eq!(StateVector::from_circuit(&c), StateVector::new(4));
+    }
+
+    #[test]
+    fn circuit_without_idle_qubits_runs_every_qubit() {
+        // k = N: every storage bit holds data, so the compact map is the
+        // identity and nothing is scattered.
+        let mut c = Circuit::new(4);
+        for q in 0..4 {
+            c.h(q);
+        }
+        c.rzz(0.4, 0, 3);
+        c.swap(0, 2);
+        c.cx(2, 1);
+        c.swap(1, 3);
+        c.cp(0.3, 0, 1);
+        c.rx(0.9, 3);
+        c.swap(2, 3);
+        c.ry(-0.6, 2);
+        let got = StateVector::from_circuit(&c);
+        let want = gate_by_gate(&c);
+        for (a, b) in got.amplitudes().iter().zip(want.amplitudes()) {
+            assert!(a.approx_eq(*b, 1e-12), "{a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
+    fn scatter_deposits_compact_bits_into_the_active_ones() {
+        // Active bits 1 and 3: compact index c = (c1 c0) goes to
+        // (c1 0 c0 0), so 1 → 2, 2 → 8 and 3 → 10. A walk from the bottom
+        // would overwrite index 2 before moving it.
+        let mut amps: Vec<Complex> = (0..16)
+            .map(|i| {
+                if i < 4 {
+                    Complex::new(i as f64 + 1.0, 0.0)
+                } else {
+                    ZERO
+                }
+            })
+            .collect();
+        scatter(&mut amps, 0b1010);
+        let mut want = vec![ZERO; 16];
+        for (c, dest) in [0, 2, 8, 10].into_iter().enumerate() {
+            want[dest] = Complex::new(c as f64 + 1.0, 0.0);
+        }
+        assert_eq!(amps, want);
     }
 
     #[test]

@@ -110,6 +110,59 @@ fn arb_routed_circuit(n: usize, data: usize) -> impl Strategy<Value = Circuit> {
     })
 }
 
+/// A circuit as a router emits it, on `n` physical qubits of which `data`
+/// hold logical qubits, placed at random: an `H` wall on the data, then
+/// mixers, diagonal gates and CNOTs on data qubits interleaved with SWAPs
+/// on any pair, and later gates follow the data wherever the SWAPs
+/// carried it. The other `n - data` qubits are touched by SWAPs only, so a
+/// fresh-state run simulates the data's `2^data` amplitudes.
+fn arb_data_following_circuit(n: usize, data: usize) -> impl Strategy<Value = Circuit> {
+    // (kind, a, d, angle): kinds 0–2 are 1q gates on a data qubit, 3–5
+    // 2q gates on two (an RZ when both picks land on one), 6 a SWAP of
+    // physical qubits `a` and `a + d`.
+    let step = (0..7u8, 0..n, 1..n, -3.0f64..3.0);
+    (
+        proptest::collection::vec(0u32..1 << 16, n..=n),
+        proptest::collection::vec(step, 1..6 * n),
+    )
+        .prop_map(move |(keys, steps)| {
+            // `at[l]`: the physical qubit holding logical qubit `l`, the
+            // first `data` of a random order of the physical qubits.
+            let mut at: Vec<usize> = (0..n).collect();
+            at.sort_by_key(|&q| keys[q]);
+            at.truncate(data);
+            let mut c = Circuit::new(n);
+            for &q in &at {
+                c.h(q);
+            }
+            for (kind, a, d, t) in steps {
+                let (l, m) = (a % data, (a + d) % data);
+                let (p, q) = (at[l], at[m]);
+                match kind {
+                    0 => c.h(p),
+                    1 => c.rx(t, p),
+                    2 => c.ry(t, p),
+                    3..=5 if l == m => c.rz(t, p),
+                    3 => c.rzz(t, p, q),
+                    4 => c.cp(t, p, q),
+                    5 => c.cx(p, q),
+                    _ => {
+                        let (x, y) = (a, (a + d) % n);
+                        c.swap(x, y);
+                        for q in &mut at {
+                            if *q == x {
+                                *q = y;
+                            } else if *q == y {
+                                *q = x;
+                            }
+                        }
+                    }
+                }
+            }
+            c
+        })
+}
+
 /// Applies `c`'s unitary gates to `state` one [`StateVector::apply`] at a
 /// time.
 fn gate_by_gate(c: &Circuit, mut state: StateVector) -> StateVector {
@@ -215,6 +268,25 @@ proptest! {
                 prop_assert!(max_amp_diff(g, r) < 1e-12, "{serial}");
             }
             prop_assert_eq!(got, fresh_and_applied(&c, &start, &threaded), "{threaded}");
+        }
+    }
+
+    /// A fresh-state run of a circuit whose idle qubits only SWAPs touch
+    /// simulates the data qubits alone and scatters them into the full
+    /// register: it matches the per-gate path, fused and unfused, and
+    /// every thread count reproduces the serial result exactly.
+    #[test]
+    fn compacted_runs_match_gate_by_gate(
+        c in (1usize..8).prop_flat_map(|data| arb_data_following_circuit(8, data)),
+        threads in 2usize..9,
+    ) {
+        let reference = gate_by_gate(&c, StateVector::new(8));
+        for fused in [true, false] {
+            let serial = SimOptions::serial().with_fused_diagonals(fused);
+            let threaded = serial.with_threads(threads).with_crossover_qubits(0);
+            let got = StateVector::from_circuit_with(&c, &serial);
+            prop_assert!(max_amp_diff(&got, &reference) < 1e-12, "{serial}");
+            prop_assert_eq!(got, StateVector::from_circuit_with(&c, &threaded), "{threaded}");
         }
     }
 
