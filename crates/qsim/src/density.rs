@@ -120,14 +120,6 @@ impl DensityMatrix {
             .collect()
     }
 
-    /// Writes the outcome probabilities into `out`, reusing its
-    /// allocation.
-    pub fn probabilities_into(&self, out: &mut Vec<f64>) {
-        let dim = self.dim();
-        out.clear();
-        out.extend((0..dim).map(|i| self.rho[i * dim + i].re.max(0.0)));
-    }
-
     /// Applies a unitary single-qubit gate: `ρ ← U ρ U†`.
     fn apply_1q(&mut self, m: &Matrix2, q: usize) {
         let dim = self.dim();
@@ -166,7 +158,7 @@ impl DensityMatrix {
     }
 
     /// Applies a generic two-qubit unitary with explicit index arithmetic
-    /// mirroring [`crate::StateVector::apply_2q`] on both sides.
+    /// on both sides, mirroring the statevector's dense 4×4 rule.
     fn apply_2q_generic(&mut self, instr: &Instruction) {
         let m = instr.gate().matrix4();
         let dim = self.dim();
@@ -418,8 +410,8 @@ impl DensityMatrix {
 /// applied — compare against pre-readout trajectory states).
 ///
 /// Runs with [`SimOptions::default`]. The density matrix over `n` qubits
-/// has `4^n` entries, so the serial crossover compares `2n` against its
-/// `crossover_qubits`.
+/// has `4^n` entries, as many as a `2n`-qubit statevector, so it runs
+/// serially below 8 qubits and on every available thread from 8 up.
 ///
 /// # Panics
 ///

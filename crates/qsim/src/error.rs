@@ -18,13 +18,6 @@ pub enum SimError {
         /// (`"statevector"` or `"density matrix"`).
         representation: &'static str,
     },
-    /// The circuit still carries symbolic (unbound) parameters; the
-    /// simulator only executes concrete amplitudes. Bind first, or use
-    /// [`crate::StateVector::bind_and_simulate`].
-    UnboundCircuit {
-        /// Mnemonic of the first parametric gate encountered.
-        gate: &'static str,
-    },
     /// Parameter binding failed before simulation: the supplied values do
     /// not cover the circuit's parameters.
     ParamMismatch {
@@ -46,10 +39,6 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "{representation} over {qubits} qubits exceeds the {limit}-qubit dense limit"
-            ),
-            SimError::UnboundCircuit { gate } => write!(
-                f,
-                "circuit is parametric (first symbolic gate: {gate}); bind parameter values before simulating"
             ),
             SimError::ParamMismatch { expected, found } => write!(
                 f,

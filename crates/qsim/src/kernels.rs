@@ -21,11 +21,10 @@
 //! | `U2 U3` (and unknowns)    | generic `Matrix2`/`Matrix4` product        |
 //!
 //! A whole circuit's `SWAP`s never reach this table:
-//! [`crate::StateVector::apply_circuit_with`] absorbs them as qubit
-//! relabels and remaps the other gates' operands (a run from `|0...0⟩`
-//! remaps them onto the compact bits of the qubits that hold data). Only
-//! single-gate application and the streaming trajectory simulator
-//! dispatch them.
+//! [`crate::StateVector::from_circuit_with`] absorbs them as qubit
+//! relabels and remaps the other gates' operands onto the compact bits of
+//! the qubits that hold data. Only single-gate application and the
+//! streaming trajectory simulator dispatch them.
 //!
 //! # Threading
 //!
@@ -69,8 +68,9 @@
 //! block are applied back-to-back on each block while it is resident, so
 //! the whole low-qubit portion of the wall costs one memory sweep.
 //! Distinct-qubit gates commute exactly, and each amplitude still passes
-//! through the same per-gate update rules, so results match the unfused
-//! path to rounding (and are bit-for-bit identical across thread counts).
+//! through the same per-gate update rules, so results match gate-by-gate
+//! application to rounding (and are bit-for-bit identical across thread
+//! counts).
 
 use crate::par;
 use crate::SimOptions;
@@ -79,7 +79,7 @@ use qcircuit::math::{matmul2, Complex, Matrix2, Matrix4, ONE, ZERO};
 use qcircuit::{Gate, Instruction};
 
 /// Streaming instruction applier that fuses runs of diagonal gates across
-/// `apply` calls. The engine behind [`crate::StateVector::apply_circuit_with`]
+/// `apply` calls. The engine behind [`crate::StateVector::from_circuit_with`]
 /// and the trajectory simulator: callers stream instructions through
 /// [`FusedApplier::apply`] and must [`FusedApplier::flush`] before reading
 /// the amplitudes (or interleaving out-of-band updates such as Pauli
@@ -88,7 +88,6 @@ pub(crate) struct FusedApplier {
     acc: DiagAccumulator,
     wall: WallAccumulator,
     threads: usize,
-    fuse: bool,
 }
 
 impl FusedApplier {
@@ -97,7 +96,6 @@ impl FusedApplier {
             acc: DiagAccumulator::default(),
             wall: WallAccumulator::default(),
             threads: opts.effective_threads(num_qubits),
-            fuse: opts.fused_diagonals,
         }
     }
 
@@ -109,10 +107,6 @@ impl FusedApplier {
             // Timeline marker per kernel dispatch (second opt-in: only
             // recorded when event capture is also on).
             q.instant(op.dispatch_counter());
-        }
-        if !self.fuse {
-            op.apply(amps, self.threads);
-            return;
         }
         // At most one accumulator holds gates at any time, so flushing
         // one before feeding the other preserves program order. A 1q

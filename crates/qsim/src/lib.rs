@@ -45,6 +45,6 @@ mod state;
 
 pub use error::SimError;
 pub use noise::{NoiseModel, TrajectorySimulator};
-pub use options::{default_threads, SimOptions};
-pub use sampler::{counts_to_distribution, Counts, Sampler};
+pub use options::SimOptions;
+pub use sampler::{Counts, Sampler};
 pub use state::{StateVector, MAX_QUBITS};

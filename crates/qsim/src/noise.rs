@@ -95,11 +95,6 @@ impl TrajectorySimulator {
         TrajectorySimulator { model }
     }
 
-    /// The noise model in use.
-    pub fn model(&self) -> &NoiseModel {
-        &self.model
-    }
-
     /// Runs one noisy trajectory of `circuit`, returning the (pure) final
     /// state of that trajectory.
     ///

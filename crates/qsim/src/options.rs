@@ -3,40 +3,30 @@
 use std::fmt;
 use std::thread;
 
-/// Tuning knobs for the statevector/density kernel engine.
+/// With an automatic thread count, registers below this width run
+/// serially: spawning a scoped thread costs tens of microseconds, which a
+/// full pass over fewer than ~2¹⁶ amplitudes cannot amortize.
+const CROSSOVER_QUBITS: usize = 16;
+
+/// The thread count of the statevector/density kernel engine.
 ///
-/// The defaults are safe everywhere: results are **identical for every
-/// `threads` value** (each amplitude's update depends only on its own
-/// basis index and the pre-update values of its gate-local partners, so
-/// scheduling cannot reassociate any floating-point operation), and fused
-/// diagonal application agrees with gate-by-gate application to ~1e-15
-/// per amplitude (pinned to 1e-12 by the `kernel_equivalence` property
-/// tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Results are **identical for every `threads` value**: each amplitude's
+/// update depends only on its own basis index and the pre-update values of
+/// its gate-local partners, so scheduling cannot reassociate any
+/// floating-point operation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimOptions {
-    /// Worker threads for amplitude streaming. `0` means auto (available
-    /// parallelism). Values are clamped so small registers never pay
-    /// fork-join overhead — see [`SimOptions::crossover_qubits`].
+    /// Worker threads for amplitude streaming. `0` (the default) means
+    /// auto: serial below 16 qubits, available parallelism from 16 up.
+    /// Any other count is used as given, whatever the register's width.
     pub threads: usize,
-    /// Registers below this width always run serially: spawning a scoped
-    /// thread costs tens of microseconds, which a full pass over fewer
-    /// than ~2¹⁶ amplitudes cannot amortize.
-    pub crossover_qubits: usize,
-    /// Fuse runs of consecutive diagonal gates (RZ, U1, Z, S, T, CZ,
-    /// CPHASE, RZZ) into a single amplitude pass. QAOA cost layers are
-    /// entirely diagonal, so this collapses `m` per-gate passes into one
-    /// parity-counting pass — the headline statevector win.
-    pub fused_diagonals: bool,
 }
 
 impl SimOptions {
-    /// Fully serial, fusion on — the configuration the thread-count
-    /// equivalence tests compare against.
+    /// One thread — the configuration the thread-count equivalence tests
+    /// compare against.
     pub fn serial() -> Self {
-        SimOptions {
-            threads: 1,
-            ..SimOptions::default()
-        }
+        SimOptions { threads: 1 }
     }
 
     /// Sets the worker-thread count (`0` = auto).
@@ -45,37 +35,13 @@ impl SimOptions {
         self
     }
 
-    /// Sets the serial/parallel crossover register width.
-    pub fn with_crossover_qubits(mut self, qubits: usize) -> Self {
-        self.crossover_qubits = qubits;
-        self
-    }
-
-    /// Enables or disables diagonal-gate fusion.
-    pub fn with_fused_diagonals(mut self, fused: bool) -> Self {
-        self.fused_diagonals = fused;
-        self
-    }
-
     /// The thread count to use for a register of `num_qubits`, after
-    /// resolving `0 = auto` and applying the serial crossover.
-    pub fn effective_threads(&self, num_qubits: usize) -> usize {
-        if num_qubits < self.crossover_qubits {
-            return 1;
-        }
+    /// resolving `0 = auto`.
+    pub(crate) fn effective_threads(&self, num_qubits: usize) -> usize {
         match self.threads {
+            0 if num_qubits < CROSSOVER_QUBITS => 1,
             0 => default_threads(),
             t => t,
-        }
-    }
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            threads: 0,
-            crossover_qubits: 16,
-            fused_diagonals: true,
         }
     }
 }
@@ -83,22 +49,16 @@ impl Default for SimOptions {
 impl fmt::Display for SimOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.threads {
-            0 => write!(f, "threads=auto({})", default_threads())?,
-            t => write!(f, "threads={t}")?,
+            0 => write!(f, "threads=auto({})", default_threads()),
+            t => write!(f, "threads={t}"),
         }
-        write!(
-            f,
-            " crossover={}q fused_diagonals={}",
-            self.crossover_qubits,
-            if self.fused_diagonals { "on" } else { "off" }
-        )
     }
 }
 
 /// Available parallelism, falling back to 1 when it cannot be queried
 /// (same convention as `qcompile::batch::default_workers`). Cached after
 /// the first query so per-gate hot paths never repeat the OS call.
-pub fn default_threads() -> usize {
+fn default_threads() -> usize {
     static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CACHED.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
@@ -109,21 +69,32 @@ mod tests {
 
     #[test]
     fn crossover_forces_serial() {
-        let opts = SimOptions::default().with_threads(8);
-        assert_eq!(opts.effective_threads(10), 1);
-        assert_eq!(opts.effective_threads(16), 8);
+        let auto = SimOptions::default();
+        assert_eq!(auto.effective_threads(3), 1);
+        assert_eq!(auto.effective_threads(15), 1);
+        assert_eq!(auto.effective_threads(16), default_threads());
     }
 
     #[test]
     fn zero_threads_is_auto() {
-        let opts = SimOptions::default().with_crossover_qubits(0);
-        assert_eq!(opts.effective_threads(1), default_threads());
+        assert_eq!(SimOptions::default().threads, 0);
+        let auto = SimOptions::serial().with_threads(0);
+        assert_eq!(auto.effective_threads(20), default_threads());
+    }
+
+    #[test]
+    fn explicit_thread_counts_are_used_as_given() {
+        let eight = SimOptions::default().with_threads(8);
+        assert_eq!(eight.effective_threads(3), 8);
+        assert_eq!(eight.effective_threads(16), 8);
+        assert_eq!(SimOptions::serial().effective_threads(20), 1);
     }
 
     #[test]
     fn display_is_informative() {
         let s = SimOptions::serial().to_string();
         assert!(s.contains("threads=1"), "{s}");
-        assert!(s.contains("fused_diagonals=on"), "{s}");
+        let s = SimOptions::default().to_string();
+        assert!(s.contains("threads=auto("), "{s}");
     }
 }

@@ -16,22 +16,6 @@ use crate::StateVector;
 /// Measurement outcome counts: basis state → number of shots.
 pub type Counts = BTreeMap<usize, u64>;
 
-/// Normalizes counts into a probability distribution over basis states.
-///
-/// Returns an empty vector when `counts` is empty; otherwise the vector has
-/// `1 << num_qubits` entries.
-pub fn counts_to_distribution(counts: &Counts, num_qubits: usize) -> Vec<f64> {
-    let total: u64 = counts.values().sum();
-    let mut dist = vec![0.0; 1usize << num_qubits];
-    if total == 0 {
-        return dist;
-    }
-    for (&state, &n) in counts {
-        dist[state] = n as f64 / total as f64;
-    }
-    dist
-}
-
 /// Samples computational-basis measurement outcomes from a statevector.
 ///
 /// Construction is `O(2^n)`; each shot is `O(n)` (binary search), so
@@ -144,22 +128,6 @@ mod tests {
         let n11 = counts.get(&0b11).copied().unwrap_or(0) as f64;
         assert_eq!(n00 + n11, 10_000.0);
         assert!((n00 / 10_000.0 - 0.5).abs() < 0.03);
-    }
-
-    #[test]
-    fn distribution_normalizes() {
-        let counts = Counts::from([(0b00, 30), (0b11, 70)]);
-        let d = counts_to_distribution(&counts, 2);
-        assert_eq!(d.len(), 4);
-        assert!((d[0] - 0.3).abs() < 1e-12);
-        assert!((d[3] - 0.7).abs() < 1e-12);
-        assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_counts_give_zero_distribution() {
-        let d = counts_to_distribution(&Counts::new(), 2);
-        assert_eq!(d, vec![0.0; 4]);
     }
 
     #[test]

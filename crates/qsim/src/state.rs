@@ -1,6 +1,6 @@
 use crate::kernels::{FusedApplier, Op};
 use crate::{SimError, SimOptions};
-use qcircuit::math::{Complex, Matrix2, Matrix4, ONE, ZERO};
+use qcircuit::math::{Complex, ONE, ZERO};
 use qcircuit::{Circuit, CircuitError, Gate, Instruction, ParamValues};
 
 /// Hard cap on the dense statevector width: `2^28` amplitudes is 4 GiB,
@@ -15,16 +15,15 @@ pub const MAX_QUBITS: usize = 28;
 /// qubits for *compilation* but only 12–15 for *execution*, which fits
 /// comfortably.
 ///
-/// Gates are applied through specialized in-place kernels (see
-/// `kernels.rs`): diagonal gates are phase multiplications, `CNOT` is an
-/// index swap, the QAOA mixers use structured real rotations, and
-/// consecutive diagonal gates fuse into a single amplitude pass. A
-/// circuit's `SWAP`s move no amplitudes at all: they relabel which
-/// storage bit holds which qubit (see [`StateVector::apply_circuit_with`]),
-/// and a run from `|0...0⟩` sweeps only the qubits that hold data (see
-/// [`StateVector::from_circuit_with`]).
-/// All of this is tunable through [`SimOptions`] via the `*_with` entry
-/// points; the plain entry points use [`SimOptions::default`].
+/// A circuit runs from `|0...0⟩` (see [`StateVector::from_circuit_with`])
+/// through specialized in-place kernels (see `kernels.rs`): diagonal
+/// gates are phase multiplications, `CNOT` is an index swap, the QAOA
+/// mixers use structured real rotations, and consecutive diagonal gates
+/// fuse into a single amplitude pass. The circuit's `SWAP`s move no
+/// amplitudes at all: they relabel which storage bit holds which qubit,
+/// and only the qubits that hold data are swept. `from_circuit_with` takes
+/// its thread count from [`SimOptions`]; every other entry point uses
+/// [`SimOptions::default`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateVector {
     num_qubits: usize,
@@ -74,7 +73,7 @@ impl StateVector {
         Self::from_circuit_with(circuit, &SimOptions::default())
     }
 
-    /// [`StateVector::from_circuit`] with explicit engine options.
+    /// [`StateVector::from_circuit`] with an explicit thread count.
     ///
     /// Cost: the circuit runs on the qubits that hold data only. When `k`
     /// of the register's `N` storage bits meet a gate other than `SWAP`
@@ -82,36 +81,16 @@ impl StateVector {
     /// amplitudes instead of `2^N`, threads are chosen for `k` qubits,
     /// and one final in-place pass moves the `2^k` amplitudes to their
     /// physical indices. The returned state is the only `2^N` buffer,
-    /// zeroed once when it is allocated. [`StateVector::try_from_bound_with`]
-    /// and [`StateVector::bind_and_simulate_with`] run the same way.
+    /// zeroed once when it is allocated. [`StateVector::bind_and_simulate`]
+    /// runs the same way.
+    ///
+    /// Results are bit-for-bit identical for every thread count, and agree
+    /// with gate-by-gate [`StateVector::apply`] to ~1e-15 per amplitude
+    /// when fusion reassociates phase products.
     pub fn from_circuit_with(circuit: &Circuit, opts: &SimOptions) -> Self {
         let mut sv = StateVector::new(circuit.num_qubits());
         sv.run_from_zero(circuit, opts);
         sv
-    }
-
-    /// [`StateVector::from_circuit`] that *rejects* parametric circuits
-    /// with a structured error instead of panicking mid-kernel: the
-    /// bound-only entry of the compile-once/rebind-many flow.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnboundCircuit`] if any instruction carries a symbolic
-    /// angle, [`SimError::RegisterTooLarge`] if the register does not fit.
-    pub fn try_from_bound(circuit: &Circuit) -> Result<Self, SimError> {
-        Self::try_from_bound_with(circuit, &SimOptions::default())
-    }
-
-    /// [`StateVector::try_from_bound`] with explicit engine options.
-    pub fn try_from_bound_with(circuit: &Circuit, opts: &SimOptions) -> Result<Self, SimError> {
-        if let Some(instr) = circuit.iter().find(|i| i.gate().is_parametric()) {
-            return Err(SimError::UnboundCircuit {
-                gate: instr.gate().name(),
-            });
-        }
-        let mut sv = StateVector::try_new(circuit.num_qubits())?;
-        sv.run_from_zero(circuit, opts);
-        Ok(sv)
     }
 
     /// Binds parameter values into a parametric circuit and simulates the
@@ -125,15 +104,6 @@ impl StateVector {
     /// circuit's parameters, [`SimError::RegisterTooLarge`] if the
     /// register does not fit.
     pub fn bind_and_simulate(circuit: &Circuit, values: &ParamValues) -> Result<Self, SimError> {
-        Self::bind_and_simulate_with(circuit, values, &SimOptions::default())
-    }
-
-    /// [`StateVector::bind_and_simulate`] with explicit engine options.
-    pub fn bind_and_simulate_with(
-        circuit: &Circuit,
-        values: &ParamValues,
-        opts: &SimOptions,
-    ) -> Result<Self, SimError> {
         let bound = circuit.bind(values).map_err(|e| match e {
             CircuitError::UnboundParameter { param, provided } => SimError::ParamMismatch {
                 expected: param as usize + 1,
@@ -148,7 +118,9 @@ impl StateVector {
                 found: values.len(),
             },
         })?;
-        Self::try_from_bound_with(&bound, opts)
+        let mut sv = StateVector::try_new(bound.num_qubits())?;
+        sv.run_from_zero(&bound, &SimOptions::default());
+        Ok(sv)
     }
 
     /// Number of qubits.
@@ -161,51 +133,15 @@ impl StateVector {
         &self.amps
     }
 
-    /// Applies every unitary gate of `circuit` in order.
+    /// Runs the unitary gates of `circuit` on a state that is still
+    /// `|0...0⟩`, as the constructors make it, with `SWAP`s absorbed as
+    /// qubit relabels and only the storage bits that hold data swept.
     ///
-    /// # Panics
-    ///
-    /// Panics if the circuit has more qubits than the state.
-    pub fn apply_circuit(&mut self, circuit: &Circuit) {
-        self.apply_circuit_with(circuit, &SimOptions::default());
-    }
-
-    /// [`StateVector::apply_circuit`] with explicit engine options:
-    /// consecutive diagonal gates are fused into single passes (when
-    /// `opts.fused_diagonals`) and every pass is chunked over
-    /// `opts.effective_threads(n)` scoped workers.
-    ///
-    /// `SWAP`s are absorbed as qubit relabels: a map from qubit to storage
-    /// bit is updated and no amplitude moves, and every other gate acts on
-    /// its operands' current storage bits. The diagonal gates of a routed
-    /// QAOA level therefore fuse into one pass however many `SWAP`s the
-    /// router interleaved. Physical order is restored at the end in place,
-    /// with one `SWAP` pass per transposition of the leftover permutation
-    /// — never more passes than `SWAP`s absorbed.
-    ///
-    /// Results are bit-for-bit identical for every thread count, and agree
-    /// with gate-by-gate application to ~1e-15 per amplitude when fusion
-    /// reassociates phase products.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit has more qubits than the state.
-    pub fn apply_circuit_with(&mut self, circuit: &Circuit, opts: &SimOptions) {
-        assert!(
-            circuit.num_qubits() <= self.num_qubits,
-            "circuit acts on {} qubits but state has {}",
-            circuit.num_qubits(),
-            self.num_qubits
-        );
-        let identity: Vec<usize> = (0..self.num_qubits).collect();
-        run_relabeled(&mut self.amps, circuit, opts, identity.clone(), &identity);
-    }
-
-    /// [`StateVector::apply_circuit_with`] for a state that is still
-    /// `|0...0⟩`, as the constructors make it, run on the storage bits
-    /// that hold data only.
-    ///
-    /// That state is invariant under any qubit permutation, so each qubit
+    /// A map from qubit to storage bit is updated at each `SWAP` and no
+    /// amplitude moves; every other gate acts on its operands' current
+    /// storage bits, so the diagonal gates of a routed QAOA level fuse
+    /// into one pass however many `SWAP`s the router interleaved.
+    /// `|0...0⟩` is invariant under any qubit permutation, so each qubit
     /// can start on the storage bit that the circuit's `SWAP`s will carry
     /// back to the qubit's own index: the state ends in physical order
     /// with no restoring pass. A storage bit that no other gate touches in
@@ -249,10 +185,24 @@ impl StateVector {
         if qtrace::enabled() {
             qtrace::global().gauge_max("qsim/active_qubits", k as u64);
         }
-        for s in &mut start {
-            *s = compact[*s];
+        // `slot[q]`: the bit of the compact amplitude index holding `q`.
+        let mut slot: Vec<usize> = start.iter().map(|&s| compact[s]).collect();
+        let amps = &mut self.amps[..1 << k];
+        let mut fused = FusedApplier::new(opts, k);
+        let mut swaps = 0;
+        for instr in circuit.iter().filter(|i| i.gate().is_unitary()) {
+            if matches!(instr.gate(), Gate::Swap) {
+                slot.swap(instr.q0(), instr.q1());
+                swaps += 1;
+            } else {
+                fused.apply(amps, &instr.remap(|q| slot[q]));
+            }
         }
-        run_relabeled(&mut self.amps[..1 << k], circuit, opts, start, &compact);
+        if qtrace::enabled() {
+            qtrace::global().add("qsim/relabeled_swaps", swaps);
+        }
+        fused.flush(amps);
+        debug_assert_eq!(slot, compact, "the SWAPs carry every qubit home");
         scatter(&mut self.amps, active);
     }
 
@@ -262,27 +212,20 @@ impl StateVector {
         &mut self.amps
     }
 
-    /// Applies one unitary instruction.
+    /// Applies one unitary instruction as its own amplitude pass (a `SWAP`
+    /// moves amplitudes): the gate-by-gate reference the fused run is
+    /// checked against.
     ///
     /// # Panics
     ///
     /// Panics on measurement instructions or out-of-range operands.
     pub fn apply(&mut self, instr: &Instruction) {
-        self.apply_with(instr, &SimOptions::default());
-    }
-
-    /// [`StateVector::apply`] with explicit engine options.
-    ///
-    /// # Panics
-    ///
-    /// Panics on measurement instructions or out-of-range operands.
-    pub fn apply_with(&mut self, instr: &Instruction, opts: &SimOptions) {
         assert!(
             instr.gate().is_unitary(),
             "cannot apply measurement as a unitary"
         );
         self.assert_operands(instr);
-        let threads = opts.effective_threads(self.num_qubits);
+        let threads = SimOptions::default().effective_threads(self.num_qubits);
         Op::from_instruction(instr).apply(&mut self.amps, threads);
     }
 
@@ -297,36 +240,6 @@ impl StateVector {
                 "two-qubit gate on duplicate operand"
             );
         }
-    }
-
-    /// Applies an arbitrary 2×2 unitary on qubit `q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is out of range.
-    pub fn apply_1q(&mut self, m: &Matrix2, q: usize) {
-        assert!(q < self.num_qubits, "qubit {q} out of range");
-        Op::Dense1 { bit: 1 << q, m: *m }.apply(&mut self.amps, 1);
-    }
-
-    /// Applies an arbitrary 4×4 unitary on qubits `(a, b)` where `a` is the
-    /// more-significant matrix index (matching `Gate::matrix4`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are out of range or equal.
-    pub fn apply_2q(&mut self, m: &Matrix4, a: usize, b: usize) {
-        assert!(
-            a < self.num_qubits && b < self.num_qubits,
-            "qubit out of range"
-        );
-        assert_ne!(a, b, "two-qubit gate on duplicate operand");
-        Op::Dense2 {
-            ba: 1 << a,
-            bb: 1 << b,
-            m: *m,
-        }
-        .apply(&mut self.amps, 1);
     }
 
     /// Born-rule probabilities for every basis state.
@@ -373,48 +286,6 @@ impl StateVector {
     }
 }
 
-/// Applies the unitary gates of `circuit` to `amps` with `SWAP`s absorbed,
-/// starting from `slot` (`slot[q]` = bit of the amplitude index that holds
-/// qubit `q`), then brings each qubit `q` to bit `home[q]` in place, with
-/// one `SWAP` pass per transposition of the leftover permutation. Passes
-/// run over `effective_threads` of the buffer's own width.
-fn run_relabeled(
-    amps: &mut [Complex],
-    circuit: &Circuit,
-    opts: &SimOptions,
-    mut slot: Vec<usize>,
-    home: &[usize],
-) {
-    let mut fused = FusedApplier::new(opts, amps.len().trailing_zeros() as usize);
-    let mut swaps = 0;
-    for instr in circuit.iter().filter(|i| i.gate().is_unitary()) {
-        if matches!(instr.gate(), Gate::Swap) {
-            slot.swap(instr.q0(), instr.q1());
-            swaps += 1;
-        } else {
-            fused.apply(amps, &instr.remap(|q| slot[q]));
-        }
-    }
-    if qtrace::enabled() {
-        qtrace::global().add("qsim/relabeled_swaps", swaps);
-    }
-    for (q, &h) in home.iter().enumerate() {
-        let s = slot[q];
-        if s != h {
-            // Bit `h` holds qubit `r`; exchanging bits `h` and `s` sends
-            // `q` home and `r` to `s`.
-            let r = slot
-                .iter()
-                .position(|&b| b == h)
-                .expect("slot is a permutation");
-            fused.apply(amps, &Instruction::two(Gate::Swap, h, s));
-            slot[r] = s;
-            slot[q] = h;
-        }
-    }
-    fused.flush(amps);
-}
-
 /// Moves a state held compactly in `amps[..2^k]`, `k` = the number of set
 /// bits of `active`, to its physical indices in place: compact index `c`
 /// goes to `pdep(c, active)`, `c`'s bits deposited in order into the set
@@ -441,7 +312,7 @@ fn scatter(amps: &mut [Complex], active: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcircuit::Gate;
+    use qcircuit::math::{Matrix2, Matrix4};
     use std::f64::consts::PI;
 
     fn assert_close(a: f64, b: f64) {
@@ -474,21 +345,6 @@ mod tests {
     #[should_panic(expected = "statevector too large")]
     fn new_panics_on_oversized_register() {
         let _ = StateVector::new(MAX_QUBITS + 1);
-    }
-
-    #[test]
-    fn try_from_bound_rejects_parametric_circuits() {
-        let mut c = Circuit::new(2);
-        let gamma = c.declare_param("gamma");
-        c.h(0);
-        c.rzz(qcircuit::Angle::sym(gamma), 0, 1);
-        assert_eq!(
-            StateVector::try_from_bound(&c).unwrap_err(),
-            SimError::UnboundCircuit { gate: "rzz" }
-        );
-        // the bound form is accepted
-        let bound = c.bind(&ParamValues::new(vec![0.4])).unwrap();
-        assert!(StateVector::try_from_bound(&bound).is_ok());
     }
 
     #[test]
@@ -563,6 +419,19 @@ mod tests {
         assert_close(sv.norm_sqr(), 1.0);
     }
 
+    /// Applies an arbitrary 2×2 unitary on qubit `q`: the generic-matrix
+    /// oracle for the structured kernels.
+    fn apply_1q(sv: &mut StateVector, m: &Matrix2, q: usize) {
+        Op::Dense1 { bit: 1 << q, m: *m }.apply(&mut sv.amps, 1);
+    }
+
+    /// Applies an arbitrary 4×4 unitary on qubits `(a, b)`, `a` being the
+    /// more-significant matrix index (matching `Gate::matrix4`).
+    fn apply_2q(sv: &mut StateVector, m: &Matrix4, a: usize, b: usize) {
+        let (ba, bb) = (1 << a, 1 << b);
+        Op::Dense2 { ba, bb, m: *m }.apply(&mut sv.amps, 1);
+    }
+
     #[test]
     fn fast_paths_match_generic_matrices() {
         // Apply each fast-path gate via `apply` and via the generic
@@ -593,9 +462,9 @@ mod tests {
             fast.apply(&instr);
             let mut slow = StateVector::from_circuit(&prep);
             if instr.gate().arity() == 1 {
-                slow.apply_1q(&instr.gate().matrix2(), instr.q0());
+                apply_1q(&mut slow, &instr.gate().matrix2(), instr.q0());
             } else {
-                slow.apply_2q(&instr.gate().matrix4(), instr.q0(), instr.q1());
+                apply_2q(&mut slow, &instr.gate().matrix4(), instr.q0(), instr.q1());
             }
             assert!(fast.fidelity(&slow) > 1.0 - 1e-10, "mismatch for {instr}");
         }
@@ -684,8 +553,7 @@ mod tests {
             c.rx(0.6, q);
         }
         let fused = StateVector::from_circuit_with(&c, &SimOptions::default());
-        let unfused =
-            StateVector::from_circuit_with(&c, &SimOptions::default().with_fused_diagonals(false));
+        let unfused = gate_by_gate(&c);
         for (a, b) in fused.amplitudes().iter().zip(unfused.amplitudes()) {
             assert!(a.approx_eq(*b, 1e-12), "{a:?} vs {b:?}");
         }
@@ -706,12 +574,7 @@ mod tests {
             c.rx(0.7, q);
         }
         let serial = StateVector::from_circuit_with(&c, &SimOptions::serial());
-        let threaded = StateVector::from_circuit_with(
-            &c,
-            &SimOptions::default()
-                .with_threads(4)
-                .with_crossover_qubits(0),
-        );
+        let threaded = StateVector::from_circuit_with(&c, &SimOptions::default().with_threads(4));
         assert_eq!(serial, threaded, "threaded result must be bit-identical");
     }
 

@@ -1,9 +1,10 @@
-//! Property-based equivalence tests for the kernel engine: every engine
-//! configuration (fused/unfused diagonals, any thread count) must produce
-//! the same state as the serial gate-by-gate reference, within
-//! 1e-12 per amplitude. The reference is a loop of single-gate
-//! [`StateVector::apply`], the one path that applies every SWAP as an
-//! amplitude pass instead of absorbing it as a qubit relabel.
+//! Property-based equivalence tests for the kernel engine: a fresh-state
+//! run, which fuses gates and absorbs SWAPs, must produce the same state
+//! as the serial gate-by-gate reference, within 1e-12 per amplitude, and
+//! every thread count must reproduce the serial run exactly. The
+//! reference is a loop of single-gate [`StateVector::apply`], which fuses
+//! nothing and applies every SWAP as an amplitude pass instead of
+//! absorbing it as a qubit relabel.
 
 use proptest::prelude::*;
 use qcircuit::{Circuit, Gate, Instruction};
@@ -163,21 +164,14 @@ fn arb_data_following_circuit(n: usize, data: usize) -> impl Strategy<Value = Ci
         })
 }
 
-/// Applies `c`'s unitary gates to `state` one [`StateVector::apply`] at a
-/// time.
-fn gate_by_gate(c: &Circuit, mut state: StateVector) -> StateVector {
+/// Applies `c`'s unitary gates to `|0...0⟩` one [`StateVector::apply`] at
+/// a time.
+fn gate_by_gate(c: &Circuit) -> StateVector {
+    let mut state = StateVector::new(c.num_qubits());
     for instr in c.iter().filter(|i| i.gate().is_unitary()) {
         state.apply(instr);
     }
     state
-}
-
-/// `c` under `opts` from `|0...0⟩` (`from_circuit_with`) and from `start`
-/// (`apply_circuit_with`).
-fn fresh_and_applied(c: &Circuit, start: &StateVector, opts: &SimOptions) -> [StateVector; 2] {
-    let mut applied = start.clone();
-    applied.apply_circuit_with(c, opts);
-    [StateVector::from_circuit_with(c, opts), applied]
 }
 
 fn max_amp_diff(a: &StateVector, b: &StateVector) -> f64 {
@@ -192,32 +186,16 @@ proptest! {
     /// Fused diagonal application agrees with gate-by-gate application.
     #[test]
     fn fused_diagonals_match_unfused(c in arb_circuit(6, 60)) {
-        let fused = StateVector::from_circuit_with(
-            &c,
-            &SimOptions::serial().with_fused_diagonals(true),
-        );
-        let unfused = StateVector::from_circuit_with(
-            &c,
-            &SimOptions::serial().with_fused_diagonals(false),
-        );
-        prop_assert!(max_amp_diff(&fused, &unfused) < 1e-12);
-        let reference = gate_by_gate(&c, StateVector::new(6));
-        prop_assert!(max_amp_diff(&fused, &reference) < 1e-12);
+        let fused = StateVector::from_circuit_with(&c, &SimOptions::serial());
+        prop_assert!(max_amp_diff(&fused, &gate_by_gate(&c)) < 1e-12);
     }
 
     /// The QAOA fast path (single parity-class cost layer) agrees with
-    /// the generic engine.
+    /// gate-by-gate application.
     #[test]
     fn qaoa_cost_layer_fusion_matches(c in arb_qaoa_circuit(6)) {
-        let fused = StateVector::from_circuit_with(
-            &c,
-            &SimOptions::serial().with_fused_diagonals(true),
-        );
-        let unfused = StateVector::from_circuit_with(
-            &c,
-            &SimOptions::serial().with_fused_diagonals(false),
-        );
-        prop_assert!(max_amp_diff(&fused, &unfused) < 1e-12);
+        let fused = StateVector::from_circuit_with(&c, &SimOptions::serial());
+        prop_assert!(max_amp_diff(&fused, &gate_by_gate(&c)) < 1e-12);
     }
 
 }
@@ -233,12 +211,8 @@ proptest! {
     #[test]
     fn thread_counts_match_serial(c in arb_circuit(6, 50), threads in 2usize..9) {
         let serial = StateVector::from_circuit_with(&c, &SimOptions::serial());
-        let parallel = StateVector::from_circuit_with(
-            &c,
-            &SimOptions::default()
-                .with_threads(threads)
-                .with_crossover_qubits(0),
-        );
+        let parallel =
+            StateVector::from_circuit_with(&c, &SimOptions::default().with_threads(threads));
         prop_assert!(
             max_amp_diff(&serial, &parallel) < 1e-12,
             "threads={threads}"
@@ -249,62 +223,38 @@ proptest! {
     }
 
     /// Routed circuits, whose SWAPs the engine absorbs as relabels, match
-    /// the per-gate path from `|0...0⟩` and from a prepared non-basis
-    /// state, fused and unfused, and every thread count reproduces the
-    /// serial result exactly.
+    /// the per-gate path, and every thread count reproduces the serial
+    /// result exactly.
     #[test]
-    fn routed_circuits_match_gate_by_gate(
-        c in arb_routed_circuit(7, 5),
-        prep in arb_circuit(7, 30),
-        threads in 2usize..9,
-    ) {
-        let start = gate_by_gate(&prep, StateVector::new(7));
-        let reference = [gate_by_gate(&c, StateVector::new(7)), gate_by_gate(&c, start.clone())];
-        for fused in [true, false] {
-            let serial = SimOptions::serial().with_fused_diagonals(fused);
-            let threaded = serial.with_threads(threads).with_crossover_qubits(0);
-            let got = fresh_and_applied(&c, &start, &serial);
-            for (g, r) in got.iter().zip(&reference) {
-                prop_assert!(max_amp_diff(g, r) < 1e-12, "{serial}");
-            }
-            prop_assert_eq!(got, fresh_and_applied(&c, &start, &threaded), "{threaded}");
-        }
+    fn routed_circuits_match_gate_by_gate(c in arb_routed_circuit(7, 5), threads in 2usize..9) {
+        let threaded = SimOptions::serial().with_threads(threads);
+        let got = StateVector::from_circuit_with(&c, &SimOptions::serial());
+        prop_assert!(max_amp_diff(&got, &gate_by_gate(&c)) < 1e-12);
+        prop_assert_eq!(got, StateVector::from_circuit_with(&c, &threaded), "{threaded}");
     }
 
     /// A fresh-state run of a circuit whose idle qubits only SWAPs touch
     /// simulates the data qubits alone and scatters them into the full
-    /// register: it matches the per-gate path, fused and unfused, and
-    /// every thread count reproduces the serial result exactly.
+    /// register: it matches the per-gate path, and every thread count
+    /// reproduces the serial result exactly.
     #[test]
     fn compacted_runs_match_gate_by_gate(
         c in (1usize..8).prop_flat_map(|data| arb_data_following_circuit(8, data)),
         threads in 2usize..9,
     ) {
-        let reference = gate_by_gate(&c, StateVector::new(8));
-        for fused in [true, false] {
-            let serial = SimOptions::serial().with_fused_diagonals(fused);
-            let threaded = serial.with_threads(threads).with_crossover_qubits(0);
-            let got = StateVector::from_circuit_with(&c, &serial);
-            prop_assert!(max_amp_diff(&got, &reference) < 1e-12, "{serial}");
-            prop_assert_eq!(got, StateVector::from_circuit_with(&c, &threaded), "{threaded}");
-        }
+        let threaded = SimOptions::serial().with_threads(threads);
+        let got = StateVector::from_circuit_with(&c, &SimOptions::serial());
+        prop_assert!(max_amp_diff(&got, &gate_by_gate(&c)) < 1e-12);
+        prop_assert_eq!(got, StateVector::from_circuit_with(&c, &threaded), "{threaded}");
     }
 
-    /// Threading and fusion composed still match the serial reference.
+    /// Threading and fusion composed still match the serial gate-by-gate
+    /// reference.
     #[test]
     fn threaded_fused_matches_serial_unfused(c in arb_qaoa_circuit(5), threads in 2usize..5) {
-        let reference = StateVector::from_circuit_with(
-            &c,
-            &SimOptions::serial().with_fused_diagonals(false),
-        );
-        let tuned = StateVector::from_circuit_with(
-            &c,
-            &SimOptions::default()
-                .with_threads(threads)
-                .with_crossover_qubits(0)
-                .with_fused_diagonals(true),
-        );
-        prop_assert!(max_amp_diff(&reference, &tuned) < 1e-12);
+        let tuned =
+            StateVector::from_circuit_with(&c, &SimOptions::serial().with_threads(threads));
+        prop_assert!(max_amp_diff(&gate_by_gate(&c), &tuned) < 1e-12);
     }
 }
 

@@ -95,9 +95,7 @@ fn routed_levels_simulate_as_one_diagonal_pass_each() {
 
     // Splitting the passes over threads changes neither the state nor
     // the work counted.
-    let threaded_opts = SimOptions::default()
-        .with_threads(4)
-        .with_crossover_qubits(0);
+    let threaded_opts = SimOptions::default().with_threads(4);
     let threaded = StateVector::from_circuit_with(&circuit, &threaded_opts);
     let threaded_manifest = qtrace::take("swap_relabel_passes_threaded");
     assert_eq!(threaded, state);
