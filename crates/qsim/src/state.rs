@@ -1,4 +1,4 @@
-use crate::kernels::{FusedApplier, Op};
+use crate::kernels::{FusedApplier, Op, ProductState};
 use crate::{SimError, SimOptions};
 use qcircuit::math::{Complex, ONE, ZERO};
 use qcircuit::{Circuit, CircuitError, Gate, Instruction, ParamValues};
@@ -80,9 +80,12 @@ impl StateVector {
     /// (a routed circuit's `n` logical qubits), every pass sweeps `2^k`
     /// amplitudes instead of `2^N`, threads are chosen for `k` qubits,
     /// and one final in-place pass moves the `2^k` amplitudes to their
-    /// physical indices. The returned state is the only `2^N` buffer,
-    /// zeroed once when it is allocated. [`StateVector::bind_and_simulate`]
-    /// runs the same way.
+    /// physical indices. The circuit's leading single-qubit gates (a QAOA
+    /// `H` wall) cost one serial pass, not one sweep per gate: on `|0…0⟩`
+    /// they make a product state, whose `2^k` amplitudes are written
+    /// directly. The returned state is the only `2^N` buffer, zeroed once
+    /// when it is allocated. [`StateVector::bind_and_simulate`] runs the
+    /// same way.
     ///
     /// Results are bit-for-bit identical for every thread count, and agree
     /// with gate-by-gate [`StateVector::apply`] to ~1e-15 per amplitude
@@ -148,7 +151,9 @@ impl StateVector {
     /// that run stays `|0⟩` throughout, so the `k` touched bits, relabelled
     /// in ascending order to bits `0..k`, run on the first `2^k`
     /// amplitudes of the buffer, and [`scatter`] then moves them to their
-    /// physical indices in place.
+    /// physical indices in place. Until the first two-qubit gate other
+    /// than a `SWAP`, the state is a product of one-qubit states, so
+    /// those gates are composed per bit and written at once.
     fn run_from_zero(&mut self, circuit: &Circuit, opts: &SimOptions) {
         // Each SWAP τ maps slot ← slot ∘ τ, so the run takes `start` to
         // start ∘ σ for the SWAPs' product σ. Replaying them backwards on
@@ -188,9 +193,28 @@ impl StateVector {
         // `slot[q]`: the bit of the compact amplitude index holding `q`.
         let mut slot: Vec<usize> = start.iter().map(|&s| compact[s]).collect();
         let amps = &mut self.amps[..1 << k];
-        let mut fused = FusedApplier::new(opts, k);
+        let mut gates = circuit.iter().filter(|i| i.gate().is_unitary()).peekable();
         let mut swaps = 0;
-        for instr in circuit.iter().filter(|i| i.gate().is_unitary()) {
+        // The leading single-qubit gates (an `H` wall) leave a product
+        // state: compose them per bit and write it in one pass.
+        let mut product = ProductState::new(k);
+        let mut leading = 0;
+        while let Some(instr) =
+            gates.next_if(|i| i.gate().arity() == 1 || matches!(i.gate(), Gate::Swap))
+        {
+            if instr.gate().arity() == 1 {
+                product.apply(&instr.remap(|q| slot[q]));
+                leading += 1;
+            } else {
+                slot.swap(instr.q0(), instr.q1());
+                swaps += 1;
+            }
+        }
+        if leading > 0 {
+            product.write(amps);
+        }
+        let mut fused = FusedApplier::new(opts, k);
+        for instr in gates {
             if matches!(instr.gate(), Gate::Swap) {
                 slot.swap(instr.q0(), instr.q1());
                 swaps += 1;
@@ -614,6 +638,29 @@ mod tests {
             sv.apply(instr);
         }
         sv
+    }
+
+    #[test]
+    fn h_wall_product_state_is_bit_identical_to_gate_by_gate() {
+        // One H per data qubit, a SWAP inside the wall and two idle
+        // qubits: the product-state write multiplies each amplitude by
+        // 1/√2 once per qubit in ascending bit order, as the butterflies
+        // do, so the states agree bit for bit.
+        let mut c = Circuit::new(7);
+        for q in [0, 2, 3] {
+            c.h(q);
+        }
+        c.swap(3, 6);
+        c.h(3);
+        c.h(5);
+        c.measure_all();
+        let want = gate_by_gate(&c);
+        assert_eq!(
+            StateVector::from_circuit_with(&c, &SimOptions::serial()),
+            want
+        );
+        let threaded = SimOptions::default().with_threads(4);
+        assert_eq!(StateVector::from_circuit_with(&c, &threaded), want);
     }
 
     #[test]

@@ -164,6 +164,47 @@ fn arb_data_following_circuit(n: usize, data: usize) -> impl Strategy<Value = Ci
         })
 }
 
+/// A circuit that opens with a random wall of single-qubit gates on the
+/// first `data` of `n` qubits (`data` from 0 to `n`), repeats on one qubit
+/// and SWAPs of any pair mixed in, so qubits `data..n` stay idle unless a
+/// SWAP lands data on them. Two cases in three then run a QAOA level on
+/// those qubits, so the product state meets a diagonal pass and a wall.
+fn arb_leading_wall(n: usize) -> impl Strategy<Value = Circuit> {
+    let angle = -3.0f64..3.0;
+    let step = (0..7u8, 0..n, 1..n, (angle.clone(), angle.clone(), angle));
+    (0..=n, proptest::collection::vec(step, 0..4 * n), 0..3u8).prop_map(
+        move |(data, steps, level)| {
+            let mut c = Circuit::new(n);
+            for (kind, a, d, (t, p, l)) in steps {
+                if kind == 6 || data == 0 {
+                    c.swap(a, (a + d) % n);
+                    continue;
+                }
+                let q = a % data;
+                match kind {
+                    0 => c.h(q),
+                    1 => c.rx(t, q),
+                    2 => c.ry(t, q),
+                    3 => c.rz(t, q),
+                    4 => c.x(q),
+                    _ => c
+                        .push(Instruction::one(Gate::U3(t.into(), p.into(), l.into()), q))
+                        .expect("in range"),
+                }
+            }
+            if level > 0 && data >= 2 {
+                for q in 1..data {
+                    c.rzz(0.9, q - 1, q);
+                }
+                for q in 0..data {
+                    c.rx(0.4, q);
+                }
+            }
+            c
+        },
+    )
+}
+
 /// Applies `c`'s unitary gates to `|0...0⟩` one [`StateVector::apply`] at
 /// a time.
 fn gate_by_gate(c: &Circuit) -> StateVector {
@@ -188,6 +229,14 @@ proptest! {
     fn fused_diagonals_match_unfused(c in arb_circuit(6, 60)) {
         let fused = StateVector::from_circuit_with(&c, &SimOptions::serial());
         prop_assert!(max_amp_diff(&fused, &gate_by_gate(&c)) < 1e-12);
+    }
+
+    /// A leading wall written as one product state agrees with
+    /// gate-by-gate application.
+    #[test]
+    fn leading_walls_match_gate_by_gate(c in arb_leading_wall(6)) {
+        let got = StateVector::from_circuit_with(&c, &SimOptions::serial());
+        prop_assert!(max_amp_diff(&got, &gate_by_gate(&c)) < 1e-12);
     }
 
     /// The QAOA fast path (single parity-class cost layer) agrees with
@@ -245,6 +294,15 @@ proptest! {
         let threaded = SimOptions::serial().with_threads(threads);
         let got = StateVector::from_circuit_with(&c, &SimOptions::serial());
         prop_assert!(max_amp_diff(&got, &gate_by_gate(&c)) < 1e-12);
+        prop_assert_eq!(got, StateVector::from_circuit_with(&c, &threaded), "{threaded}");
+    }
+
+    /// Every thread count writes the same leading product state, and runs
+    /// the rest of the circuit on it, bit for bit.
+    #[test]
+    fn leading_walls_are_thread_count_invariant(c in arb_leading_wall(6), threads in 2usize..9) {
+        let threaded = SimOptions::serial().with_threads(threads);
+        let got = StateVector::from_circuit_with(&c, &SimOptions::serial());
         prop_assert_eq!(got, StateVector::from_circuit_with(&c, &threaded), "{threaded}");
     }
 

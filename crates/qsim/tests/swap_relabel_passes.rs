@@ -1,8 +1,9 @@
 //! Work guard for SWAP absorption and qubit compaction: a routed QAOA
-//! circuit simulates with no SWAP pass and one fused diagonal pass per
-//! level, however many SWAPs the router put between the level's `RZZ`s,
-//! and every pass sweeps only the amplitudes of the qubits that hold data,
-//! however many idle qubits the register has.
+//! circuit simulates with no SWAP pass, one product-state write for its
+//! leading `H` wall and one fused diagonal pass per level, however many
+//! SWAPs the router put between the level's `RZZ`s, and every pass sweeps
+//! only the amplitudes of the qubits that hold data, however many idle
+//! qubits the register has.
 //!
 //! One `#[test]` only: the counts go through the process-global recorder,
 //! so a second concurrent test in this binary would add to them.
@@ -82,16 +83,22 @@ fn routed_levels_simulate_as_one_diagonal_pass_each() {
     let runs = &manifest.histograms["qsim/fused_diag_run_len"];
     assert_eq!(runs.count(), LEVELS as u64, "one diagonal pass per level");
 
-    // Every kernel application sweeps the 2^6 amplitudes of the data
-    // qubits; on the whole register each would sweep 2^9.
-    assert_eq!(manifest.gauges.get("qsim/active_qubits"), Some(&6));
+    // The leading `H` wall is one product-state write, so only the
+    // levels' `RX` walls reach the wall kernel.
     let wall_gates = manifest.histograms["qsim/fused_wall_run_len"].sum();
-    let applications = runs.count() + wall_gates;
-    assert_eq!(applications, (LEVELS + (LEVELS + 1) * LINE) as u64);
+    assert_eq!(wall_gates, (LEVELS * LINE) as u64);
+    assert_eq!(manifest.counters.get("qsim/dispatch/hadamard"), None);
+
+    // Every kernel application sweeps the 2^6 amplitudes of the data
+    // qubits; on the whole register each would sweep 2^9. The
+    // product-state write counts as two sweeps, so writing the wall took
+    // the count from (3 + 4·6)·2^6 = 1728 to (3 + 3·6 + 2)·2^6 = 1472.
+    assert_eq!(manifest.gauges.get("qsim/active_qubits"), Some(&6));
     assert_eq!(
-        manifest.counters.get("qsim/amplitude_updates"),
-        Some(&(applications << LINE))
+        runs.count() + wall_gates + 2,
+        (LEVELS + LEVELS * LINE + 2) as u64
     );
+    assert_eq!(manifest.counters.get("qsim/amplitude_updates"), Some(&1472));
 
     // Splitting the passes over threads changes neither the state nor
     // the work counted.
@@ -104,6 +111,6 @@ fn routed_levels_simulate_as_one_diagonal_pass_each() {
         .contains_key("qsim/par/parallel_dispatches"));
     assert_eq!(
         threaded_manifest.counters.get("qsim/amplitude_updates"),
-        Some(&(applications << LINE))
+        Some(&1472)
     );
 }
